@@ -39,6 +39,44 @@ let pin_config argv =
       clean
   end
 
+(* The CPUs this process may run on, from the Cpus_allowed_list line of
+   /proc/self/status ("0-1", "0,2-3"); [] where that file is missing. *)
+let allowed_cpus () =
+  let range r =
+    match List.map int_of_string_opt (String.split_on_char '-' r) with
+    | [ Some a ] -> [ a ]
+    | [ Some a; Some b ] -> List.init (b - a + 1) (fun i -> a + i)
+    | _ -> []
+  in
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> []
+  | status ->
+    List.concat_map
+      (fun line ->
+        match String.split_on_char ':' line with
+        | [ "Cpus_allowed_list"; v ] ->
+          List.concat_map range (String.split_on_char ',' (String.trim v))
+        | _ -> [])
+      (String.split_on_char '\n' status)
+
+let cpus_at_start = allowed_cpus ()
+
+(* Moves every thread of this process onto [cpu] with [taskset]; threads
+   and domains started later inherit it.  Without [taskset] the process
+   stays where it is. *)
+let pin_process cpu =
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close null)
+    (fun () ->
+      match
+        Unix.create_process "taskset"
+          [| "taskset"; "-a"; "-p"; "-c"; string_of_int cpu; string_of_int (Unix.getpid ()) |]
+          Unix.stdin null null
+      with
+      | exception Unix.Unix_error _ -> ()
+      | pid -> ignore (Unix.waitpid [] pid))
+
 let effective_config () =
   Obs.Json.Obj
     [
@@ -200,10 +238,12 @@ type phase = {
   t1 : int64;  (** end of the last op *)
   elapsed_s : float;  (** [t1 - t0], summed over merged phases *)
   done_ops : int list;  (** pool indices run *)
+  ends : (int * int * int64) array;  (** (sequence number, pool index, completion time), in completion order *)
 }
 
-let phase ~lat ~attempted ~failed ~t0 ~t1 ~done_ops =
+let phase ?(ends = []) ~lat ~attempted ~failed ~t0 ~t1 ~done_ops () =
   {
+    ends = Array.of_list (List.rev ends);
     lat = Array.of_list (List.rev lat);
     attempted;
     failed;
@@ -226,6 +266,7 @@ let merge = function
       t1 = last.t1;
       elapsed_s = List.fold_left (fun acc p -> acc +. p.elapsed_s) 0.0 phases;
       done_ops = List.concat_map (fun p -> p.done_ops) phases;
+      ends = Array.concat (List.map (fun p -> p.ends) phases);
     }
 
 let ops_per_s ph = float_of_int (Array.length ph.lat) /. ph.elapsed_s
@@ -239,10 +280,10 @@ let note_mismatch what expected got =
 
 (* The seed-chosen replay order: [order ~seed n i] is the pool index of
    the [i]-th op.  Each pass through the pool is its own permutation, so
-   over a run every op meets many different neighbours; where requests
-   overlap (serve keeps two in flight) a latency depends on the request
-   ahead of it, and one permutation replayed many times would make p50
-   a property of the seed. *)
+   over a run every op meets many different neighbours; ops share
+   caches, so an op's cost can depend on the ones run before it, and one
+   permutation replayed many times would make p50 a property of the
+   seed. *)
 let order ~seed n =
   let passes = Hashtbl.create 16 in
   let permutation pass =
@@ -269,7 +310,7 @@ let order ~seed n =
     perm.(i mod n)
 
 let local_loop ~(ops : op array) ~ord ~start ~seconds ~exec =
-  let lat = ref [] and done_ops = ref [] in
+  let lat = ref [] and done_ops = ref [] and ends = ref [] in
   let failed = ref 0 and i = ref start in
   let t0 = Measure.now_ns () in
   let t_end = Int64.add t0 (Int64.of_float (seconds *. 1e9)) in
@@ -281,6 +322,7 @@ let local_loop ~(ops : op array) ~ord ~start ~seconds ~exec =
     let got = try exec op with e -> "error: " ^ Printexc.to_string e in
     t1 := Measure.now_ns ();
     lat := Measure.ms_between s !t1 :: !lat;
+    ends := (!i, k, !t1) :: !ends;
     done_ops := k :: !done_ops;
     if got <> op.expected then begin
       incr failed;
@@ -288,7 +330,7 @@ let local_loop ~(ops : op array) ~ord ~start ~seconds ~exec =
     end;
     incr i
   done;
-  phase ~lat:!lat ~attempted:(!i - start) ~failed:!failed ~t0 ~t1:!t1 ~done_ops:!done_ops
+  phase ~ends:!ends ~lat:!lat ~attempted:(!i - start) ~failed:!failed ~t0 ~t1:!t1 ~done_ops:!done_ops ()
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)
@@ -347,50 +389,42 @@ let response_sig (resp : Serve.Protocol.response) =
     | _ -> "no result")
   | st, _ -> "status " ^ Serve.Protocol.status_to_string st
 
-let window = 2
-
-(* Closed loop with [window] requests outstanding on the one connection.
-   [on_send]/[on_recv] let the traced phase record client spans. *)
+(* Closed loop with one request outstanding on the one connection, so a
+   request's latency is its own round trip.  [on_send]/[on_recv] let the
+   traced phase record client spans. *)
 let serve_loop d ~(pool : (Pools.request * string) array) ~ord ~start ~seconds ~on_send ~on_recv =
-  let sent_at = Hashtbl.create 16 and lat = ref [] and done_ops = ref [] in
-  let failed = ref 0 and next = ref start and outstanding = ref 0 in
+  let lat = ref [] and done_ops = ref [] and ends = ref [] in
+  let failed = ref 0 and i = ref start in
   let t0 = Measure.now_ns () in
   let t_end = Int64.add t0 (Int64.of_float (seconds *. 1e9)) in
-  let send () =
-    let id = !next in
+  let t1 = ref t0 in
+  while Int64.compare !t1 t_end < 0 do
+    let id = !i in
     let k = ord id in
+    let r, expected = pool.(k) in
     let s = Measure.now_ns () in
-    (match Serve.Client.send d.client (to_request id (fst pool.(k))) with
+    (match Serve.Client.send d.client (to_request id r) with
     | Ok () -> ()
     | Error e -> failwith ("send: " ^ e));
-    Hashtbl.replace sent_at id (s, k);
-    on_send id s (Measure.now_ns ());
-    incr next;
-    incr outstanding
-  in
-  for _ = 1 to window do send () done;
-  let t1 = ref t0 in
-  while !outstanding > 0 do
     let r0 = Measure.now_ns () in
+    on_send id s r0;
     let resp =
       match Serve.Client.recv d.client with Ok r -> r | Error e -> failwith ("recv: " ^ e)
     in
-    let id = match resp.Serve.Protocol.id with Obs.Json.Int i -> i | _ -> failwith "response without id" in
-    let s, k = Hashtbl.find sent_at id in
-    Hashtbl.remove sent_at id;
+    if resp.Serve.Protocol.id <> Obs.Json.Int id then failwith "response to another request";
     let got = response_sig resp in
     t1 := Measure.now_ns ();
     on_recv id r0 !t1;
     lat := Measure.ms_between s !t1 :: !lat;
+    ends := (id, k, !t1) :: !ends;
     done_ops := k :: !done_ops;
-    decr outstanding;
-    if got <> snd pool.(k) then begin
+    if got <> expected then begin
       incr failed;
-      note_mismatch (Printf.sprintf "request %d" k) (snd pool.(k)) got
+      note_mismatch (Printf.sprintf "request %d" k) expected got
     end;
-    if Int64.compare !t1 t_end < 0 then send ()
+    incr i
   done;
-  phase ~lat:!lat ~attempted:(!next - start) ~failed:!failed ~t0 ~t1:!t1 ~done_ops:!done_ops
+  phase ~ends:!ends ~lat:!lat ~attempted:(!i - start) ~failed:!failed ~t0 ~t1:!t1 ~done_ops:!done_ops ()
 
 let serve_pool w =
   let reqs = Pools.serve_candidates () in
@@ -489,28 +523,39 @@ type outcome = {
   attempted : int;
   failed : int;
   checks : string list;  (** failed benchmark checks *)
-  setup_times : float array;  (** seconds, one per round *)
+  setup_times : float array;  (** seconds, one per set-up *)
   latencies : float array;  (** the untraced latencies *)
+  ends : (int * int * int64) array;  (** the untraced ops' sequence numbers, pool indices and completion times *)
   spans : Measure.span array;
 }
 
 (* A run is [rounds] rounds of: set up, then run the closed loop for
-   [seconds / rounds].  Each round sets up from a settled heap (a full
+   [seconds / rounds].  Each set-up starts from a settled heap (a full
    major collection first, outside any timing), and [setup_s] is the
-   median of the rounds' set-up times.  One set-up takes milliseconds,
-   so a single one would record the machine at one moment; spread over
-   the run, the set-ups sample it as often as the ops do.  The pool
-   order carries on from round to round. *)
+   median of all set-up times.  One set-up takes milliseconds, so a
+   single one would record the machine at one moment; spread over the
+   run, the set-ups sample it as often as the ops do.  A round may set
+   up [setups] times, tearing down all but the last, where one set-up is
+   too short for nine to give a steady median.  The pool order carries
+   on from round to round. *)
 let rounds = 9
 
-let in_rounds ~setup ~teardown ~seconds round =
-  let times = Array.make rounds 0.0 in
+let in_rounds ?(setups = 1) ?(before_round = ignore) ~setup ~teardown ~seconds round =
+  let times = Array.make (rounds * setups) 0.0 in
+  let timed_setup i =
+    Gc.full_major ();
+    let t0 = Measure.now_ns () in
+    let st = setup () in
+    times.(i) <- Measure.ms_between t0 (Measure.now_ns ()) /. 1000.0;
+    st
+  in
   let results =
     List.init rounds (fun k ->
-        Gc.full_major ();
-        let t0 = Measure.now_ns () in
-        let st = setup () in
-        times.(k) <- Measure.ms_between t0 (Measure.now_ns ()) /. 1000.0;
+        before_round k;
+        for j = 1 to setups - 1 do
+          teardown (timed_setup ((k * setups) + j))
+        done;
+        let st = timed_setup (k * setups) in
         Fun.protect
           ~finally:(fun () -> teardown st)
           (fun () -> round st (seconds /. float_of_int rounds)))
@@ -564,6 +609,7 @@ let untraced_outcome ~setup_times (ph : phase) =
        else []);
     setup_times;
     latencies = ph.lat;
+    ends = ph.ends;
     spans = [||];
   }
 
@@ -651,6 +697,7 @@ let run_local ~name ~setup ~seed ~seconds ~trace =
       checks = cover_checks @ shape_checks name (Measure.sorted_copy plain.lat);
       setup_times;
       latencies = plain.lat;
+      ends = plain.ends;
       spans;
     }
   end
@@ -686,7 +733,26 @@ let direct_loop d ~pool ~ord ~start ~seconds rec_ =
     end;
     incr n
   done;
-  phase ~lat:!lat ~attempted:!n ~failed:!failed ~t0 ~t1:!t1 ~done_ops:!done_ops
+  phase ~lat:!lat ~attempted:!n ~failed:!failed ~t0 ~t1:!t1 ~done_ops:!done_ops ()
+
+(* A daemon starts in well under a millisecond, so each round starts
+   [serve_setups] of them and keeps the last. *)
+let serve_setups = 5
+
+(* Each serve round runs on one CPU, taking the allowed CPUs in turn.
+   The daemon runs a worker domain beside the main domain, and every
+   minor collection of the worker (about a thousand a second on a
+   2-vCPU VM) is a stop-the-world handshake with the main domain, whose
+   threads sit blocked in [read]/[select].  Spread over two CPUs, each
+   handshake wakes the idle one, and on a shared VM how long that takes
+   depends on the host, not on the program.  On one CPU, with one
+   request outstanding, exactly one thread is runnable at a time and the
+   CPU never idles.  Taking the CPUs in turn, a run samples the speed of
+   each, not of one. *)
+let serve_round_cpu k =
+  match cpus_at_start with
+  | [] | [ _ ] -> ()
+  | cpus -> pin_process (List.nth cpus (k mod List.length cpus))
 
 let run_serve ~seed ~seconds ~trace =
   let pool = serve_pool "serve" in
@@ -702,7 +768,10 @@ let run_serve ~seed ~seconds ~trace =
   in
   let setup () = start_daemon text and teardown = stop_daemon in
   if not trace then begin
-    let setup_times, phases = in_rounds ~setup ~teardown ~seconds (fun d seconds -> loop d ~seconds) in
+    let setup_times, phases =
+      in_rounds ~setups:serve_setups ~before_round:serve_round_cpu ~setup ~teardown ~seconds
+        (fun d seconds -> loop d ~seconds)
+    in
     untraced_outcome ~setup_times (merge phases)
   end
   else begin
@@ -712,7 +781,8 @@ let run_serve ~seed ~seconds ~trace =
        spans and counters on (phase B) *)
     let (setup_times, results), snap =
       with_counters (fun () ->
-          in_rounds ~setup ~teardown ~seconds (fun d seconds ->
+          in_rounds ~setups:serve_setups ~before_round:serve_round_cpu ~setup ~teardown ~seconds
+            (fun d seconds ->
               let third = seconds /. 3.0 in
               let p = loop d ~seconds:third in
               let rec_a = Measure.recorder () and op_ids = Hashtbl.create 16 in
@@ -782,6 +852,7 @@ let run_serve ~seed ~seconds ~trace =
       checks = cover_checks @ shape_checks "serve" (Measure.sorted_copy plain.lat);
       setup_times;
       latencies = plain.lat;
+      ends = plain.ends;
       spans =
         Array.concat
           (List.concat_map (fun (_, (ra, _), (rb, _)) -> [ Measure.spans ra; Measure.spans rb ]) results);
@@ -841,6 +912,7 @@ let main_run ~workload ~seed ~seconds ~trace ~recorded =
             ("trace", Obs.Json.Bool trace);
             ("ocaml_version", Obs.Json.String Sys.ocaml_version);
             ("nproc", Obs.Json.Int (Domain.recommended_domain_count ()));
+            ("cpus", Obs.Json.List (List.map (fun c -> Obs.Json.Int c) cpus_at_start));
             ( "recorded_env",
               Obs.Json.Obj
                 (List.filter_map
@@ -853,6 +925,14 @@ let main_run ~workload ~seed ~seconds ~trace ~recorded =
             ("checks_failed", Obs.Json.List (List.map (fun c -> Obs.Json.String c) o.checks));
             ("setup_s", Obs.Json.List (Array.to_list (Array.map (fun x -> Obs.Json.Float x) o.setup_times)));
             ("latencies_ms", Obs.Json.List (Array.to_list (Array.map (fun x -> Obs.Json.Float x) o.latencies)));
+            ( "ends_ms",
+              let base = if o.ends = [||] then 0L else (fun (_, _, t) -> t) o.ends.(0) in
+              Obs.Json.List
+                (Array.to_list
+                   (Array.map
+                      (fun (i, k, t) ->
+                        Obs.Json.List [ Obs.Json.Int i; Obs.Json.Int k; Obs.Json.Float (Measure.ms_between base t) ])
+                      o.ends)) );
             ("result", result);
           ])
     ^ "\n");

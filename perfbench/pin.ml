@@ -154,9 +154,8 @@ let pin_contain () =
 let serve_per_kind = 8
 
 (* Containment and optimize requests cheaper than this are left out:
-   with one worker and two requests outstanding, sub-millisecond
-   requests would form a second latency mode two decades below the
-   evaluations. *)
+   sub-millisecond requests would form a second latency mode two
+   decades below the evaluations. *)
 let serve_min_words = 100_000.0
 
 let serve_expected g (r : Pools.request) =

@@ -158,6 +158,46 @@ let prop_rhs_union_monotone =
           || contained (Ucrpq.make [ r1; r2 ]))
         Semantics.node_semantics)
 
+(* On a singleton union outside the q-inj abstraction branch, the union
+   decider runs the single-query ★-expansion search: same verdict, same
+   witness expansion and, on budget exhaustion, the same search size as
+   [Containment.finite_lhs] (finite left side) or [Containment.bounded]. *)
+let prop_singleton_matches_containment =
+  let bound = 2 in
+  Testutil.qtest ~count:40 "singleton union search = Containment search"
+    QCheck2.Gen.(
+      let* arity = int_bound 2 in
+      let* q1 = Testutil.gen_crpq ~max_atoms:2 ~arity () in
+      let* q2 = Testutil.gen_crpq ~max_atoms:2 ~arity () in
+      let* sem = oneofl Semantics.node_semantics in
+      return (q1, q2, sem))
+    (fun (q1, q2, sem) ->
+      let finite = Crpq.is_finite q1 in
+      QCheck2.assume (finite || sem <> Semantics.Q_inj);
+      let single =
+        if finite then Containment.finite_lhs sem q1 q2
+        else Containment.bounded sem ~max_len:bound q1 q2
+      in
+      let union = Ucrpq.contained ~bound sem (Ucrpq.of_crpq q1) (Ucrpq.of_crpq q2) in
+      let same =
+        match single, union with
+        | Containment.Contained, Containment.Contained -> true
+        | Containment.Not_contained w1, Containment.Not_contained w2 ->
+          w1.Containment.expansion.Expansion.cq = w2.Containment.expansion.Expansion.cq
+          && w1.Containment.tuple = w2.Containment.tuple
+        | ( Containment.Unknown (Containment.Budget_exhausted e1),
+            Containment.Unknown (Containment.Budget_exhausted e2) ) ->
+          e1.Containment.expansions_enumerated = e2.Containment.expansions_enumerated
+          && e1.Containment.bound_reached = e2.Containment.bound_reached
+        | _ -> false
+      in
+      if same then true
+      else
+        QCheck2.Test.fail_reportf "%s under %s:@.single %a@.union  %a"
+          (Testutil.print_pair_crpq (q1, q2))
+          (Semantics.to_string sem) Containment.pp_verdict single
+          Containment.pp_verdict union)
+
 let () =
   Alcotest.run "ucrpq"
     [
@@ -177,5 +217,6 @@ let () =
           prop_disjunct_contained;
           prop_lhs_union_decomposes;
           prop_rhs_union_monotone;
+          prop_singleton_matches_containment;
         ] );
     ]

@@ -86,9 +86,12 @@ let check_arity q1 q2 =
    caller attribution makes their bulk-engine consumption visible as
    [bulk.dispatch.containment.*] (standard-semantics checks only ever
    reach the engine through [Eval] — references never switch). *)
-let is_counterexample sem q2 (e : Expansion.expanded) =
+let defeats_all sem rhs (e : Expansion.expanded) =
   let g, tuple = Expansion.to_graph e in
-  Bulk_rpq.with_caller "containment" (fun () -> not (Eval.check sem q2 g tuple))
+  Bulk_rpq.with_caller "containment" (fun () ->
+      List.for_all (fun q2 -> not (Eval.check sem q2 g tuple)) rhs)
+
+let is_counterexample sem q2 e = defeats_all sem [ q2 ] e
 
 (* ------------------------------------------------------------------ *)
 (* CQ/CQ: homomorphism tests                                            *)
@@ -108,18 +111,18 @@ let cq_cq sem q1 q2 =
 (* Expansion-space search                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Returns the first counterexample (if any) together with the number of
-   expansions enumerated before stopping — the count feeds the
-   budget-exhaustion verdict and the search histograms.  Expansions are
-   independent, so the scan fans out across domains when [--jobs] is
-   set; [Parmap.find_mapi] returns the lowest-index match, so the chosen
-   witness — and hence the verdict — is the one the sequential scan
-   finds. *)
-let search_expansions sem q2 expansions =
+(* Returns the first expansion defeating every right query (if any)
+   together with the number of expansions enumerated before stopping —
+   the count feeds the budget-exhaustion verdict and the search
+   histograms.  Expansions are independent, so the scan fans out across
+   domains when [--jobs] is set; [Parmap.find_mapi] returns the
+   lowest-index match, so the chosen witness — and hence the verdict —
+   is the one the sequential scan finds. *)
+let search_expansions sem rhs expansions =
   let check _ e =
     Guard.checkpoint "containment.search";
     Obs.Metrics.incr m_expansions;
-    if is_counterexample sem q2 e then begin
+    if defeats_all sem rhs e then begin
       Obs.Metrics.incr m_counterexamples;
       if Obs.Events.enabled () then
         Obs.Events.emit Obs.Events.Info "containment.counterexample"
@@ -142,60 +145,49 @@ let search_expansions sem q2 expansions =
     Obs.Metrics.observe h_expansions tried;
     (None, tried)
 
+let star_expansions sem max_len q =
+  match sem, max_len with
+  | (Semantics.St | Semantics.Q_inj), None -> Expansion.finite_expansions q
+  | Semantics.A_inj, None -> Expansion.finite_ainj_expansions q
+  | (Semantics.St | Semantics.Q_inj), Some max_len -> Expansion.expansions ~max_len q
+  | Semantics.A_inj, Some max_len -> Expansion.ainj_expansions ~max_len q
+  | (Semantics.A_edge_inj | Semantics.Q_edge_inj), _ -> assert false
+
+(* Expansions are computed per ε-free disjunct (lazily, so a witness in
+   an early disjunct spares the later ones) to keep the space small and
+   because ε-atoms are already folded into disjuncts. *)
+let search sem ~max_len lhs rhs =
+  let total = ref 0 in
+  let disjuncts =
+    Seq.concat_map (fun q -> List.to_seq (Crpq.epsilon_free_disjuncts q)) (List.to_seq lhs)
+  in
+  let witness =
+    Seq.find_map
+      (fun d ->
+        let w, tried = search_expansions sem rhs (star_expansions sem max_len d) in
+        total := !total + tried;
+        w)
+      disjuncts
+  in
+  match witness, max_len with
+  | Some w, _ -> Not_contained w
+  | None, None -> Contained
+  | None, Some bound -> budget_exhausted ~bound ~expansions:!total
+
+let supervised ?guard f =
+  match Guard.supervise ?guard f with
+  | Ok v -> v
+  | Error trip -> resource_exhausted trip
+
 let finite_lhs ?guard sem q1 q2 =
   node_semantics_only sem;
   check_arity q1 q2;
-  let star_expansions q =
-    match sem with
-    | Semantics.St | Semantics.Q_inj -> Expansion.finite_expansions q
-    | Semantics.A_inj -> Expansion.finite_ainj_expansions q
-    | Semantics.A_edge_inj | Semantics.Q_edge_inj -> assert false
-  in
-  (* expansions are computed per ε-free disjunct to keep the space small
-     and because ε-atoms are already folded into disjuncts *)
-  let search () =
-    let disjuncts = Crpq.epsilon_free_disjuncts q1 in
-    let rec go = function
-      | [] -> Contained
-      | d :: rest -> begin
-        match fst (search_expansions sem q2 (star_expansions d)) with
-        | Some w -> Not_contained w
-        | None -> go rest
-      end
-    in
-    go disjuncts
-  in
-  match Guard.supervise ?guard search with
-  | Ok v -> v
-  | Error trip -> resource_exhausted trip
+  supervised ?guard (fun () -> search sem ~max_len:None [ q1 ] [ q2 ])
 
 let bounded ?guard sem ~max_len q1 q2 =
   node_semantics_only sem;
   check_arity q1 q2;
-  let star_expansions q =
-    match sem with
-    | Semantics.St | Semantics.Q_inj -> Expansion.expansions ~max_len q
-    | Semantics.A_inj -> Expansion.ainj_expansions ~max_len q
-    | Semantics.A_edge_inj | Semantics.Q_edge_inj -> assert false
-  in
-  let search () =
-    let disjuncts = Crpq.epsilon_free_disjuncts q1 in
-    let total = ref 0 in
-    let rec go = function
-      | [] -> budget_exhausted ~bound:max_len ~expansions:!total
-      | d :: rest -> begin
-        let w, tried = search_expansions sem q2 (star_expansions d) in
-        total := !total + tried;
-        match w with
-        | Some w -> Not_contained w
-        | None -> go rest
-      end
-    in
-    go disjuncts
-  in
-  match Guard.supervise ?guard search with
-  | Ok v -> v
-  | Error trip -> resource_exhausted trip
+  supervised ?guard (fun () -> search sem ~max_len:(Some max_len) [ q1 ] [ q2 ])
 
 (* ------------------------------------------------------------------ *)
 (* Dispatcher                                                           *)
@@ -335,6 +327,4 @@ let decide ?(bound = 4) ?guard sem q1 q2 =
           decide_impl ~bound sem q1 q2)
     else decide_impl ~bound sem q1 q2
   in
-  match Guard.supervise ?guard go with
-  | Ok v -> v
-  | Error trip -> resource_exhausted trip
+  supervised ?guard go

@@ -76,6 +76,19 @@ val is_counterexample : Semantics.t -> Crpq.t -> Expansion.expanded -> bool
     @raise Invalid_argument on edge semantics or arity mismatch. *)
 val cq_cq : Semantics.t -> Cq.t -> Cq.t -> bool
 
+(** The ★-expansion search shared by every expansion-based decider,
+    including the union one ({!Ucrpq.contained}): enumerate, one ε-free
+    disjunct of each left query at a time, the ★-expansions of the left
+    queries — all of them when [max_len] is [None] (every left query
+    must be in CRPQ{^ fin}), else those with per-atom words of length at
+    most [max_len] — and return the first that defeats {e every} right
+    query.  Exhausting the space gives [Contained] for [None] and
+    [Unknown (Budget_exhausted _)] otherwise.  Each expansion passes the
+    [containment.search] guard checkpoint.  Node semantics only; no
+    guard boundary of its own. *)
+val search :
+  Semantics.t -> max_len:int option -> Crpq.t list -> Crpq.t list -> verdict
+
 (** Exact containment when the left query is in CRPQ{^ fin}.  Under a
     guard the search can stop early with [Unknown (Resource_exhausted _)].
     @raise Invalid_argument if the left query is not finite. *)

@@ -51,46 +51,6 @@ let eval_bool sem u g = List.exists (fun q -> Eval.eval_bool sem q g) u.disjunct
 (* Containment                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let is_counterexample_union sem rhs (e : Expansion.expanded) =
-  let g, tuple = Expansion.to_graph e in
-  Bulk_rpq.with_caller "containment" (fun () ->
-      List.for_all (fun r -> not (Eval.check sem r g tuple)) rhs)
-
-(* Shared with [Containment]: the registry hands back the same counter,
-   so union and single-query searches aggregate into one metric. *)
-let m_expansions = Obs.Metrics.counter "containment.expansions_enumerated"
-
-let m_counterexamples = Obs.Metrics.counter "containment.counterexamples"
-
-(* search the ★-expansion space of one left disjunct for a counterexample
-   defeating every right disjunct; also returns how many expansions were
-   enumerated, for the budget-exhaustion verdict *)
-let search_disjunct sem ~star_expansions rhs d1 =
-  let check _ e =
-    Guard.checkpoint "ucrpq.search";
-    Obs.Metrics.incr m_expansions;
-    if is_counterexample_union sem rhs e then begin
-      Obs.Metrics.incr m_counterexamples;
-      Some { Containment.expansion = e; tuple = snd (Expansion.to_graph e) }
-    end
-    else None
-  in
-  let expansions = star_expansions d1 in
-  (* parallel scan with a deterministic (lowest-index) witness *)
-  match Parmap.find_mapi check expansions with
-  | Some (i, w) -> (Some w, i + 1)
-  | None -> (None, List.length expansions)
-
-let expansion_space sem max_len_opt q =
-  match sem, max_len_opt with
-  | (Semantics.St | Semantics.Q_inj), None -> Expansion.finite_expansions q
-  | Semantics.A_inj, None -> Expansion.finite_ainj_expansions q
-  | (Semantics.St | Semantics.Q_inj), Some max_len ->
-    Expansion.expansions ~max_len q
-  | Semantics.A_inj, Some max_len -> Expansion.ainj_expansions ~max_len q
-  | (Semantics.A_edge_inj | Semantics.Q_edge_inj), _ ->
-    invalid_arg "Ucrpq.contained: edge semantics not supported (Section 7)"
-
 let contained_impl ~bound sem u1 u2 =
   if u1.arity <> u2.arity then
     invalid_arg "Ucrpq.contained: unions of different arities";
@@ -110,28 +70,10 @@ let contained_impl ~bound sem u1 u2 =
       Containment.Unknown
         (Containment.Undecided ("abstraction algorithm unsupported: " ^ msg))
   end
-  else begin
-    let max_len_opt = if all_finite then None else Some bound in
-    let star_expansions q =
-      List.concat_map
-        (expansion_space sem max_len_opt)
-        (Crpq.epsilon_free_disjuncts q)
-    in
-    let total = ref 0 in
-    let rec go = function
-      | [] ->
-        if all_finite then Containment.Contained
-        else Containment.budget_exhausted ~bound ~expansions:!total
-      | d1 :: rest -> begin
-        let w, tried = search_disjunct sem ~star_expansions rhs d1 in
-        total := !total + tried;
-        match w with
-        | Some w -> Containment.Not_contained w
-        | None -> go rest
-      end
-    in
-    go lhs
-  end
+  else
+    Containment.search sem
+      ~max_len:(if all_finite then None else Some bound)
+      lhs rhs
 
 let contained ?(bound = 4) ?guard sem u1 u2 =
   let go () =

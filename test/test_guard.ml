@@ -284,9 +284,10 @@ let target_graph =
   Graph.make ~nnodes:4
     [ (0, "a", 1); (1, "b", 2); (2, "a", 3); (0, "a", 2); (1, "a", 3) ]
 
-(* each workload reaches the named checkpoint; armed chaos trips it on
-   the first visit and supervise (ours or the decider's own boundary)
-   must recover and complete *)
+(* each workload reaches the named checkpoint (the entry's first word;
+   the rest names the caller when one site has several); armed chaos
+   trips it on the first visit and supervise (ours or the decider's own
+   boundary) must recover and complete *)
 let site_workloads =
   [
     ( "regex.enumerate",
@@ -333,7 +334,7 @@ let site_workloads =
           (Ucrpq.contained Semantics.St
              (Ucrpq.of_crpq (q "x -[ab]-> y"))
              (Ucrpq.of_crpq (q "x -[a]-> y"))) );
-    ( "ucrpq.search",
+    ( "containment.search (Ucrpq.contained)",
       fun () ->
         ignore
           (Ucrpq.contained Semantics.St
@@ -362,7 +363,8 @@ let site_workloads =
         ignore (Containment_f7.decide_st (q "x -[a*ba*]-> y") (q "u -[b]-> v")) );
   ]
 
-let exercise_site (site, work) () =
+let exercise_site (entry, work) () =
+  let site = List.hd (String.split_on_char ' ' entry) in
   Guard.Chaos.arm [ (site, 1) ];
   Fun.protect ~finally:Guard.Chaos.disarm (fun () ->
       (match Guard.supervise work with

@@ -672,7 +672,7 @@ let reduce_cmd =
 let minimize_cmd =
   let run () () guard sem q =
     governed guard @@ fun () ->
-    let m = Minimize.drop_redundant_atoms sem q in
+    let m, _ = Rewrite.rewrite sem q in
     Format.printf "%s@." (Crpq.to_string (Minimize.prune_languages m));
     if Crpq.size m < Crpq.size q then
       Format.printf "(removed %d redundant atom(s) under %s semantics)@."

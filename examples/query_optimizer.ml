@@ -8,7 +8,7 @@
 
    Run with:  dune exec examples/query_optimizer.exe *)
 
-let minimize sem q = Minimize.drop_redundant_atoms sem q
+let minimize sem q = fst (Analysis.optimize ~sem q)
 
 let () =
   (* the b-atom is implied by the ab-atom under standard semantics (map

@@ -30,7 +30,7 @@ let () =
   List.iter
     (fun sem ->
       Format.printf "  %-7s -> %s@." (Semantics.to_string sem)
-        (Crpq.to_string (Minimize.drop_redundant_atoms sem q)))
+        (Crpq.to_string (fst (Rewrite.rewrite sem q))))
     Semantics.node_semantics;
 
   header "Satisfiability and language pruning";

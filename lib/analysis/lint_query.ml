@@ -188,19 +188,14 @@ let empty_domain_atoms ~graph (q : Crpq.t) =
            (List.sort_uniq String.compare [ a.Crpq.src; a.Crpq.dst ]))
        q.Crpq.atoms)
 
-let rec remove_nth i = function
-  | [] -> []
-  | x :: rest -> if i = 0 then rest else x :: remove_nth (i - 1) rest
-
 let redundant_atoms ?(bound = 4) ~sem (q : Crpq.t) =
   if List.length q.Crpq.atoms <= 1 || Crpq.has_empty_language q then []
-  else
+  else begin
+    let oracle = Rewrite.default_oracle ~bound () in
     List.concat
       (List.mapi
          (fun i (a : Crpq.atom) ->
-           let q' = Crpq.make ~free:q.Crpq.free (remove_nth i q.Crpq.atoms) in
-           match Minimize.equivalent ~bound sem q q' with
-           | Some true ->
+           if Rewrite.drop_certified ~oracle sem q i then
              [
                diag ~code:"I006" ~severity:Diagnostic.Info ~location:(Diagnostic.Atom i)
                  (Printf.sprintf
@@ -208,5 +203,6 @@ let redundant_atoms ?(bound = 4) ~sem (q : Crpq.t) =
                      (containment-certified); consider removing it"
                     (atom_to_string a) (Semantics.to_string sem));
              ]
-           | Some false | None -> [])
+           else [])
          q.Crpq.atoms)
+  end

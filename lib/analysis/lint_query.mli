@@ -22,9 +22,9 @@
     - [W005] unused-free-variable: a free variable occurring in no
       atom; it ranges over the whole node set.
     - [I006] redundant-atom: dropping the atom is
-      containment-certified ({!Minimize} machinery) to preserve the
-      query under the given semantics; reported as a suggestion, never
-      applied.
+      containment-certified ({!Rewrite.drop_certified}, the optimizer's
+      drop-atom certificate) to preserve the query under the given
+      semantics; reported as a suggestion, never applied.
     - [W104] empty-candidate-domain: against a supplied example graph,
       some variable's candidate domain — the nodes surviving every
       per-atom product-reachability constraint, exactly as the
@@ -50,8 +50,10 @@ val unused_free_vars : Crpq.t -> Diagnostic.t list
 val empty_domain_atoms : graph:Graph.t -> Crpq.t -> Diagnostic.t list
 
 (** [redundant_atoms ~sem ~bound q] flags every atom whose removal is
-    {!Minimize.equivalent}-certified under [sem].  Quadratic in the
-    number of atoms times a containment call; skipped internally when
-    the query has an empty-language atom (everything would be flagged).
-    [bound] is the containment search bound (default 4). *)
+    {!Rewrite.drop_certified} under [sem].  Quadratic in the number of
+    atoms times a containment call; skipped internally when the query
+    has an empty-language atom (everything would be flagged).  [bound]
+    is the containment search bound (default 4).  Semantics the
+    deciders refuse (the edge variants) certify nothing, so flag
+    nothing. *)
 val redundant_atoms : ?bound:int -> sem:Semantics.t -> Crpq.t -> Diagnostic.t list

@@ -158,6 +158,14 @@ let certify ~oracle sem q q' =
     Obs.Metrics.incr m_failed;
     ([ forward ], false)
 
+let drop_certified ?(oracle = default_oracle ()) sem (q : Crpq.t) index =
+  match List.nth_opt q.Crpq.atoms index with
+  | None -> false
+  | Some atom -> (
+    match apply_candidate q (Drop_atom { index; atom }) with
+    | None -> false
+    | Some q' -> snd (certify ~oracle sem q q'))
+
 let describe_failure checks =
   match List.rev checks with
   | { verdict = Containment.Not_contained _; _ } :: _ ->

@@ -85,6 +85,13 @@ val candidates : Crpq.t -> candidate list
     [None] when it does not apply to this query.  Exposed for tests. *)
 val apply_candidate : Crpq.t -> candidate -> Crpq.t option
 
+(** [drop_certified ?oracle sem q i]: is dropping atom [i] (of the
+    sorted atom list) both-direction certified under [sem]?  The
+    certificate behind {!rewrite}'s drop-atom candidate; the lint pass
+    reports it as I006.  [false] when [q] has fewer than two atoms or
+    [i] is out of range.  The oracle defaults to {!default_oracle}. *)
+val drop_certified : ?oracle:oracle -> Semantics.t -> Crpq.t -> int -> bool
+
 (** Greedy fixpoint: each round re-enumerates candidates and applies
     the first whose both-direction certificate the oracle proves;
     stops when a round certifies nothing (those final rejected

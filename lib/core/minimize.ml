@@ -6,29 +6,6 @@ let equivalent ?bound sem q1 q2 =
   | Some a, Some b -> Some (a && b)
   | _ -> None
 
-let rec remove_once x = function
-  | [] -> []
-  | y :: rest -> if y = x then rest else y :: remove_once x rest
-
-let drop_redundant_atoms ?bound sem q =
-  let rec go (q : Crpq.t) =
-    let try_drop a =
-      let q' = Crpq.make ~free:q.Crpq.free (remove_once a q.Crpq.atoms) in
-      (* dropping an atom can only grow the answer set, so only the
-         backward containment (q' ⊆ q) needs certifying; still check both
-         to stay robust to future semantics *)
-      match equivalent ?bound sem q q' with
-      | Some true -> Some q'
-      | _ -> None
-    in
-    if List.length q.Crpq.atoms <= 1 then q
-    else
-      match List.find_map try_drop q.Crpq.atoms with
-      | Some q' -> go q'
-      | None -> q
-  in
-  go q
-
 let is_satisfiable q = Crpq.epsilon_free_disjuncts q <> []
 
 let prune_languages (q : Crpq.t) =

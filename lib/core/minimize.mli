@@ -1,19 +1,14 @@
-(** Containment-based static optimization of CRPQs — the paper's
-    motivating application of the containment problem (Section 1).
-
-    All operations are parameterized by the semantics, because
-    redundancy is semantics-dependent: an atom implied under standard
-    semantics can be load-bearing under an injective one (see
+(** Containment-based helpers for static optimization of CRPQs — the
+    paper's motivating application of the containment problem
+    (Section 1).  Dropping redundant atoms is the certified rewrite
+    engine's job ([Rewrite] in the analysis layer): redundancy is
+    semantics-dependent, and an atom implied under standard semantics
+    can be load-bearing under an injective one (see
     [examples/query_optimizer.ml]). *)
 
 (** [equivalent sem q1 q2]: mutual containment; [None] when either
     direction is undecided by the exact procedures / bounded search. *)
 val equivalent : ?bound:int -> Semantics.t -> Crpq.t -> Crpq.t -> bool option
-
-(** [drop_redundant_atoms sem q] greedily removes atoms whose removal
-    provably preserves equivalence under [sem].  Conservative: keeps an
-    atom whenever equivalence cannot be certified. *)
-val drop_redundant_atoms : ?bound:int -> Semantics.t -> Crpq.t -> Crpq.t
 
 (** [is_satisfiable q]: does the query have any expansion (i.e. any
     answer on some database)?  Independent of the semantics. *)

@@ -112,11 +112,24 @@ let test_i006_redundant () =
     "q-inj flags nothing" []
     (codes (Lint_query.redundant_atoms ~sem:Semantics.Q_inj witness));
   (* the minimized twin is silent *)
-  let repaired = Minimize.drop_redundant_atoms Semantics.St witness in
+  let repaired, _ = Rewrite.rewrite Semantics.St witness in
   check
     Alcotest.(list string)
     "repaired silent" []
     (codes (Lint_query.redundant_atoms ~sem:Semantics.St repaired))
+
+let test_i006_edge_semantics () =
+  (* the deciders refuse the edge semantics (Section 7): the redundancy
+     pass certifies nothing there, and the lint run still completes *)
+  let query = Crpq.parse "Q(x, y) :- x -[a]-> y, x -[a|b]-> y" in
+  List.iter
+    (fun sem ->
+      check
+        Alcotest.(list string)
+        (Semantics.to_string sem ^ " flags no I006")
+        []
+        (List.filter (String.equal "I006") (codes (Analysis.lint ~sem query))))
+    [ Semantics.A_edge_inj; Semantics.Q_edge_inj ]
 
 (* states: 0 init, 1 final, 2 reachable-but-dead, 3 unreachable *)
 let dirty_nfa : Nfa.t =
@@ -327,6 +340,8 @@ let () =
           Alcotest.test_case "W104 empty candidate domain" `Quick
             test_w104_empty_domain;
           Alcotest.test_case "I006 redundant atom" `Quick test_i006_redundant;
+          Alcotest.test_case "I006 under edge semantics" `Quick
+            test_i006_edge_semantics;
           Alcotest.test_case "NFA hygiene" `Quick test_nfa_hygiene;
           Alcotest.test_case "reduction validators" `Quick test_validators;
           Alcotest.test_case "JSON round-trip" `Quick test_json_roundtrip;

@@ -8,25 +8,6 @@ let test_equivalent () =
   check (Alcotest.option Alcotest.bool) "a+ <> a*" (Some false)
     (Minimize.equivalent Semantics.Q_inj q1 (Crpq.parse "Q(x, y) :- x -[a*]-> y"))
 
-let test_drop_redundant () =
-  (* the ab-atom subsumes the a/b chain under standard semantics *)
-  let q = Crpq.parse "Q(x, z) :- x -[a]-> y, y -[b]-> z, x -[ab]-> z" in
-  let st = Minimize.drop_redundant_atoms Semantics.St q in
-  check Alcotest.int "st drops two" 1 (Crpq.size st);
-  (* under q-inj the chain's variable y pins a shared node: nothing
-     removable *)
-  let qi = Minimize.drop_redundant_atoms Semantics.Q_inj q in
-  check Alcotest.int "q-inj keeps all" 3 (Crpq.size qi);
-  (* a literally duplicated atom is redundant under st and a-inj... *)
-  let dup = Crpq.parse "x -[ab]-> y, x -[ab]-> y" in
-  check Alcotest.int "st drops duplicate" 1
-    (Crpq.size (Minimize.drop_redundant_atoms Semantics.St dup));
-  check Alcotest.int "a-inj drops duplicate" 1
-    (Crpq.size (Minimize.drop_redundant_atoms Semantics.A_inj dup));
-  (* ... but not under q-inj, where it demands a second disjoint path *)
-  check Alcotest.int "q-inj keeps duplicate" 2
-    (Crpq.size (Minimize.drop_redundant_atoms Semantics.Q_inj dup))
-
 let test_satisfiable () =
   check Alcotest.bool "sat" true (Minimize.is_satisfiable (Crpq.parse "x -[a]-> y"));
   check Alcotest.bool "unsat" false (Minimize.is_satisfiable (Crpq.parse "x -[!]-> y"))
@@ -38,19 +19,6 @@ let test_prune_languages () =
     (List.for_all
        (fun (a : Crpq.atom) -> Regex.size a.Crpq.lang <= 1)
        p.Crpq.atoms)
-
-let prop_drop_preserves_answers =
-  Testutil.qtest ~count:25 "dropping redundant atoms preserves answers"
-    QCheck2.Gen.(
-      pair
-        (Testutil.gen_crpq ~cls:Crpq.Class_fin ~max_atoms:3 ~max_vars:2 ~arity:1 ())
-        (Testutil.gen_graph ~max_nodes:3 ()))
-    (fun (q, g) ->
-      List.for_all
-        (fun sem ->
-          let m = Minimize.drop_redundant_atoms sem q in
-          Eval.eval sem q g = Eval.eval sem m g)
-        Semantics.node_semantics)
 
 let prop_prune_preserves_language =
   Testutil.qtest ~count:30 "pruning languages preserves them"
@@ -68,10 +36,9 @@ let () =
       ( "unit",
         [
           Alcotest.test_case "equivalent" `Quick test_equivalent;
-          Alcotest.test_case "drop redundant" `Quick test_drop_redundant;
           Alcotest.test_case "satisfiable" `Quick test_satisfiable;
           Alcotest.test_case "prune languages" `Quick test_prune_languages;
         ] );
       ( "properties",
-        [ prop_drop_preserves_answers; prop_prune_preserves_language ] );
+        [ prop_prune_preserves_language ] );
     ]

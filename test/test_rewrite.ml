@@ -50,6 +50,21 @@ let test_duplicate_kept_qinj () =
   Alcotest.(check string) "duplicate dropped under st" "Q(x, y) :- x -[aa]-> y"
     (Crpq.to_string q_st)
 
+let test_drop_semantics_dependent () =
+  let size sem query = Crpq.size (fst (Rewrite.rewrite sem query)) in
+  (* the ab-atom subsumes the a/b chain under standard semantics *)
+  let chain = q "Q(x, z) :- x -[a]-> y, y -[b]-> z, x -[ab]-> z" in
+  Alcotest.(check int) "st drops two" 1 (size Semantics.St chain);
+  (* under q-inj the chain's variable y pins a shared node: nothing
+     removable *)
+  Alcotest.(check int) "q-inj keeps all" 3 (size Semantics.Q_inj chain);
+  (* a literally duplicated atom is redundant under st and a-inj... *)
+  let dup = q "x -[ab]-> y, x -[ab]-> y" in
+  Alcotest.(check int) "st drops duplicate" 1 (size Semantics.St dup);
+  Alcotest.(check int) "a-inj drops duplicate" 1 (size Semantics.A_inj dup);
+  (* ... but not under q-inj, where it demands a second disjoint path *)
+  Alcotest.(check int) "q-inj keeps duplicate" 2 (size Semantics.Q_inj dup)
+
 let test_collapse_unsat () =
   let query = q "Q(x) :- x -[!]-> y, y -[a]-> z, z -[b]-> x" in
   List.iter
@@ -146,6 +161,17 @@ let gen_query = Testutil.gen_crpq ~cls:Crpq.Class_fin ~max_atoms:3 ~max_vars:3 ~
 
 let qtests =
   [
+    Testutil.qtest ~count:25 "rewrite preserves answers on a database"
+      QCheck2.Gen.(
+        pair
+          (Testutil.gen_crpq ~cls:Crpq.Class_fin ~max_atoms:3 ~max_vars:2 ~arity:1 ())
+          (Testutil.gen_graph ~max_nodes:3 ()))
+      (fun (query, g) ->
+        List.for_all
+          (fun sem ->
+            let q', _ = Rewrite.rewrite sem query in
+            Eval.eval sem query g = Eval.eval sem q' g)
+          Semantics.node_semantics);
     Testutil.qtest ~count:200 "failing certificate => rewrite not applied"
       gen_query (fun query ->
         let rng = Random.State.make [| Testutil.seed; 0xCE27 |] in
@@ -184,6 +210,8 @@ let () =
           Alcotest.test_case "drop redundant atom (st)" `Quick test_drop_redundant_st;
           Alcotest.test_case "duplicate kept under q-inj" `Quick
             test_duplicate_kept_qinj;
+          Alcotest.test_case "drops depend on the semantics" `Quick
+            test_drop_semantics_dependent;
           Alcotest.test_case "collapse unsatisfiable" `Quick test_collapse_unsat;
           Alcotest.test_case "merge eps-joined vars" `Quick test_merge_eps;
           Alcotest.test_case "free head never merged" `Quick test_merge_keeps_free_head;

@@ -903,11 +903,10 @@ let run_morphism () =
 (* E16: bulk bit-matrix engine vs pointwise product BFS                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Every cell computes the full standard-semantics atom relation three
-   ways — pointwise Path_search, bulk multiple-source frontier BFS, and
-   (while the product space stays small) bulk all-pairs closure — and
-   checks the relations cell-for-cell before timing is reported, so the
-   bench doubles as a large-graph differential test.  The crossover
+(* Every cell computes the full standard-semantics atom relation two
+   ways — pointwise Path_search and bulk multiple-source frontier BFS —
+   and checks the relations cell-for-cell before timing is reported, so
+   the bench doubles as a large-graph differential test.  The crossover
    claim CI asserts: on the largest cell (≥ 10⁵ edges) the bulk engine
    must beat the pointwise BFS. *)
 let run_bulk () =
@@ -917,8 +916,8 @@ let run_bulk () =
   let m_frontier = Obs.Metrics.counter "bulk.frontier_bits" in
   let m_words = Obs.Metrics.counter "bulk.words_anded" in
   let cells = Suite.e16_cells ~seed:16 ~quick:!quick in
-  Format.printf "%-14s %6s %8s %4s %10s %10s %10s %8s %6s@." "cell" "nodes"
-    "edges" "nfa" "pointwise" "multi-src" "all-pairs" "speedup" "agree";
+  Format.printf "%-14s %6s %8s %4s %10s %10s %8s %6s@." "cell" "nodes"
+    "edges" "nfa" "pointwise" "multi-src" "speedup" "agree";
   List.iter
     (fun (name, g, re) ->
       let nfa = Nfa.of_regex re in
@@ -928,28 +927,11 @@ let run_bulk () =
       let s0 = Obs.Metrics.counter_value m_sweeps in
       let f0 = Obs.Metrics.counter_value m_frontier in
       let w0 = Obs.Metrics.counter_value m_words in
-      let rel_ms, t_ms =
-        time_it (fun () ->
-            Bulk_rpq.reach_relation ~strategy:Bulk_rpq.Multi_source g nfa)
-      in
+      let rel_ms, t_ms = time_it (fun () -> Bulk_rpq.reach_relation g nfa) in
       let sweeps = Obs.Metrics.counter_value m_sweeps - s0 in
       let frontier = Obs.Metrics.counter_value m_frontier - f0 in
       let words = Obs.Metrics.counter_value m_words - w0 in
-      (* all-pairs closure is quadratic in the product size; keep it to
-         the cells where that stays cheap *)
-      let ap =
-        if n * m <= 1500 then
-          let rel_ap, t_ap =
-            time_it (fun () ->
-                Bulk_rpq.reach_relation ~strategy:Bulk_rpq.All_pairs g nfa)
-          in
-          Some (rel_ap, t_ap)
-        else None
-      in
-      let agree =
-        rel_ms = rel_ps
-        && match ap with Some (rel_ap, _) -> rel_ap = rel_ps | None -> true
-      in
+      let agree = rel_ms = rel_ps in
       let pairs =
         Array.fold_left
           (fun acc row ->
@@ -957,32 +939,23 @@ let run_bulk () =
           0 rel_ms
       in
       let speedup = if t_ms > 0.0 then t_ps /. t_ms else 0.0 in
-      Format.printf "%-14s %6d %8d %4d %a %a %10s %7.1fx %6b@." name n
-        (Graph.nedges g) m pp_ms t_ps pp_ms t_ms
-        (match ap with
-        | Some (_, t_ap) -> Format.asprintf "%a" pp_ms t_ap
-        | None -> "-")
-        speedup agree;
+      Format.printf "%-14s %6d %8d %4d %a %a %7.1fx %6b@." name n
+        (Graph.nedges g) m pp_ms t_ps pp_ms t_ms speedup agree;
       bulk_rows :=
         Obs.Json.Obj
-          ([
-             ("cell", Obs.Json.String name);
-             ("nodes", Obs.Json.Int n);
-             ("edges", Obs.Json.Int (Graph.nedges g));
-             ("nfa_states", Obs.Json.Int m);
-             ("pointwise_ns", Obs.Json.Int (int_of_float (t_ps *. 1e9)));
-             ("multi_source_ns", Obs.Json.Int (int_of_float (t_ms *. 1e9)));
-             ("rel_pairs", Obs.Json.Int pairs);
-             ("sweeps", Obs.Json.Int sweeps);
-             ("frontier_bits", Obs.Json.Int frontier);
-             ("words_anded", Obs.Json.Int words);
-             ("agree", Obs.Json.Bool agree);
-           ]
-          @
-          match ap with
-          | Some (_, t_ap) ->
-            [ ("all_pairs_ns", Obs.Json.Int (int_of_float (t_ap *. 1e9))) ]
-          | None -> [])
+          [
+            ("cell", Obs.Json.String name);
+            ("nodes", Obs.Json.Int n);
+            ("edges", Obs.Json.Int (Graph.nedges g));
+            ("nfa_states", Obs.Json.Int m);
+            ("pointwise_ns", Obs.Json.Int (int_of_float (t_ps *. 1e9)));
+            ("multi_source_ns", Obs.Json.Int (int_of_float (t_ms *. 1e9)));
+            ("rel_pairs", Obs.Json.Int pairs);
+            ("sweeps", Obs.Json.Int sweeps);
+            ("frontier_bits", Obs.Json.Int frontier);
+            ("words_anded", Obs.Json.Int words);
+            ("agree", Obs.Json.Bool agree);
+          ]
         :: !bulk_rows;
       if not agree then
         failwith (Printf.sprintf "bulk relation diverges on cell %s" name))
@@ -1088,7 +1061,7 @@ let run_bulk_scale () =
         + Obs.Metrics.counter_value
             (Obs.Metrics.counter ("bulk.dispatch.containment." ^ engine)))
       0
-      [ "pointwise"; "multi_source"; "all_pairs" ]
+      [ "pointwise"; "multi_source" ]
   in
   let pairs =
     [

@@ -9,11 +9,7 @@
 
 let bits_per_word = Sys.int_size
 
-(* Counter shared with the sweep loops of [Bulk_rpq]; registration by
-   name is idempotent so both modules may declare it. *)
 let m_words_anded = Obs.Metrics.counter "bulk.words_anded"
-
-let m_sweeps = Obs.Metrics.counter "bulk.sweeps"
 
 type t = {
   rows : int;
@@ -164,37 +160,6 @@ let union_into ~src ~dst =
     if or_row_into ~src i ~dst i then changed := true
   done;
   !changed
-
-let mul_into ~a ~b ~dst =
-  if a.cols <> b.rows || dst.rows <> a.rows || dst.cols <> b.cols then
-    invalid_arg "Bitmatrix.mul_into";
-  if b == dst then invalid_arg "Bitmatrix.mul_into: dst aliases b";
-  let changed = ref false in
-  for i = 0 to a.rows - 1 do
-    iter_row a i (fun j ->
-        if or_row_into ~src:b j ~dst i then changed := true)
-  done;
-  !changed
-
-let closure m =
-  if m.rows <> m.cols then invalid_arg "Bitmatrix.closure";
-  let r = copy m in
-  for i = 0 to r.rows - 1 do
-    set r i i
-  done;
-  (* Sweep-synchronous repeated squaring: each sweep computes R·R into a
-     fresh accumulator, then merges.  Keeping the read side immutable
-     per sweep makes both the sweep count and the word-op counters
-     deterministic. *)
-  let continue = ref true in
-  while !continue do
-    Guard.checkpoint "bulk.sweep";
-    Obs.Metrics.incr m_sweeps;
-    let nxt = create ~rows:r.rows ~cols:r.cols in
-    ignore (mul_into ~a:r ~b:r ~dst:nxt);
-    continue := union_into ~src:nxt ~dst:r
-  done;
-  r
 
 let of_bool_matrix bm =
   let rows = Array.length bm in

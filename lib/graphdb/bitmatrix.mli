@@ -9,9 +9,9 @@
     precomputed 16-bit table (SWAR masks such as [0x5555...] do not fit
     in OCaml's 63-bit immediates).
 
-    Word-level work is observable: every row OR/AND-NOT accounted by the
-    [bulk.words_anded] counter, closure sweeps by [bulk.sweeps]
-    (no-ops unless [Obs.Metrics] is enabled). *)
+    Word-level work is observable: every row OR/AND-NOT is accounted by
+    the [bulk.words_anded] counter (a no-op unless [Obs.Metrics] is
+    enabled). *)
 
 type t
 
@@ -68,21 +68,6 @@ val scatter_row : dst:t -> int -> int array -> ofs:int -> len:int -> unit
 (** [union_into ~src ~dst] ORs all of [src] into [dst] (same
     dimensions); returns [true] iff [dst] changed. *)
 val union_into : src:t -> dst:t -> bool
-
-(** Boolean matrix multiply-accumulate: [dst <- dst OR (a · b)], where
-    [a] is [r × k] and [b] is [k × c] and [dst] is [r × c].  Row [i] of
-    the product is the OR of the rows of [b] selected by the set bits of
-    row [i] of [a] — a row-gather, which is why adjacency is stored
-    row-wise.  Returns [true] iff [dst] changed.  [dst] may alias [a]
-    but must not alias [b]. *)
-val mul_into : a:t -> b:t -> dst:t -> bool
-
-(** Reflexive-transitive closure of a square matrix by repeated
-    squaring ([R <- R OR R·R] until fixpoint, so the sweep count is
-    logarithmic in the diameter).  Each sweep passes the [bulk.sweep]
-    guard checkpoint and bumps the [bulk.sweeps] counter.  The input is
-    not mutated. *)
-val closure : t -> t
 
 val of_bool_matrix : bool array array -> t
 

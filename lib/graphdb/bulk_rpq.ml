@@ -128,19 +128,8 @@ let note_tile_words w =
   Obs.Metrics.set g_peak_tile_words (Atomic.get peak_words)
 
 (* ------------------------------------------------------------------ *)
-(* Engine / strategy selection                                          *)
+(* Engine selection                                                    *)
 (* ------------------------------------------------------------------ *)
-
-type strategy = All_pairs | Multi_source
-
-(* All-pairs closure squares an (n·m)² bit matrix log-diameter times —
-   only worth it when the product space is tiny and most sources are
-   wanted anyway; the frontier BFS does work proportional to discovered
-   pairs and wins everywhere else (E16 measures the closure already
-   behind at product sizes in the high hundreds). *)
-let choose_strategy ~sources ~nstates ~nnodes =
-  if nnodes * nstates <= 256 && 2 * sources >= nnodes then All_pairs
-  else Multi_source
 
 (* Auto crossover: below ~192 nodes the pointwise BFS's early exits beat
    the fixed per-sweep cost of full bitset rows; the last conjunct caps
@@ -178,7 +167,7 @@ let with_caller name f =
 
 let callers = [ "eval"; "containment"; "rpq"; "direct"; "other" ]
 
-let engines = [ "pointwise"; "multi_source"; "all_pairs" ]
+let engines = [ "pointwise"; "multi_source" ]
 
 let dispatch_counters =
   let tbl = Hashtbl.create 16 in
@@ -240,48 +229,6 @@ let intern_delta g nfa =
          | Some ai -> Some (ai, q')
          | None -> None))
     nfa.Nfa.delta
-
-(* ------------------------------------------------------------------ *)
-(* All-pairs: closure of the Kronecker-style product matrix            *)
-(* ------------------------------------------------------------------ *)
-
-let product_matrix g nfa =
-  let n = Graph.nnodes g in
-  let m = nfa.Nfa.nstates in
-  let size = max (n * m) 1 in
-  let p = Bitmatrix.create ~rows:size ~cols:size in
-  let delta = intern_delta g nfa in
-  Array.iteri
-    (fun q trans ->
-      List.iter
-        (fun (ai, q') ->
-          for u = 0 to n - 1 do
-            let succs = Graph.succ_ids g u ai in
-            for i = 0 to Array.length succs - 1 do
-              Bitmatrix.set p ((u * m) + q) ((succs.(i) * m) + q')
-            done
-          done)
-        trans)
-    delta;
-  p
-
-let all_pairs_relation g nfa =
-  let n = Graph.nnodes g in
-  let m = nfa.Nfa.nstates in
-  let r = Bitmatrix.closure (product_matrix g nfa) in
-  let rel = Array.make_matrix (max n 1) (max n 1) false in
-  let finals = ref [] in
-  for q = 0 to m - 1 do
-    if nfa.Nfa.finals.(q) then finals := q :: !finals
-  done;
-  for u = 0 to n - 1 do
-    List.iter
-      (fun q0 ->
-        Bitmatrix.iter_row r ((u * m) + q0) (fun c ->
-            if List.mem (c mod m) !finals then rel.(u).(c / m) <- true))
-      nfa.Nfa.initials
-  done;
-  rel
 
 (* ------------------------------------------------------------------ *)
 (* Multiple-source frontier BFS: hybrid sparse/dense tiles              *)
@@ -469,7 +416,7 @@ let reach_pairs g nfa srcs =
   done;
   out
 
-let multi_source_relation g nfa =
+let reach_relation g nfa =
   let n = Graph.nnodes g in
   let seen = reach_pairs g nfa (Array.init n (fun u -> u)) in
   let rel = Array.make_matrix (max n 1) (max n 1) false in
@@ -478,26 +425,10 @@ let multi_source_relation g nfa =
   done;
   rel
 
-let reach_relation ?strategy g nfa =
-  let n = Graph.nnodes g in
-  let strategy =
-    match strategy with
-    | Some s -> s
-    | None -> choose_strategy ~sources:n ~nstates:nfa.Nfa.nstates ~nnodes:n
-  in
-  match strategy with
-  | All_pairs -> all_pairs_relation g nfa
-  | Multi_source -> multi_source_relation g nfa
-
 let st_relation g nfa =
   if use_bulk g nfa then begin
-    let n = Graph.nnodes g in
-    let strategy = choose_strategy ~sources:n ~nstates:nfa.Nfa.nstates ~nnodes:n in
-    note_dispatch
-      (match strategy with
-      | All_pairs -> "all_pairs"
-      | Multi_source -> "multi_source");
-    reach_relation ~strategy g nfa
+    note_dispatch "multi_source";
+    reach_relation g nfa
   end
   else begin
     note_dispatch "pointwise";

@@ -3,10 +3,9 @@
 
     Where {!Path_search} answers standard-semantics reachability with
     one product BFS per source, this engine answers an RPQ atom for
-    {e all} sources at once: either an all-pairs transitive closure of
-    the Kronecker-style NFA×graph product matrix, or a multiple-source
-    frontier BFS with one bitset row per (source, NFA state) pair.  Both
-    return relations bit-identical to [Path_search.reach_relation].
+    {e all} sources at once with a multiple-source frontier BFS, one
+    bitset row per (source, NFA state) pair.  It returns relations
+    bit-identical to [Path_search.reach_relation].
 
     The frontier BFS is {e tiled} and {e hybrid}:
 
@@ -39,7 +38,8 @@
     [bulk.tiles] counters account sweep count, frontier growth and
     kernel work; [bulk.tile_rows]/[bulk.peak_tile_words] gauge the tile
     geometry; [bulk.dispatch.<caller>.<engine>] attributes every
-    {!st_relation} dispatch to the layer that asked ({!with_caller}).
+    {!st_relation} dispatch to the layer that asked ({!with_caller}),
+    [<engine>] being [pointwise] or [multi_source].
     Per-label adjacency (dense matrices and CSR) is memoized through
     {!Cache.Memo}, keyed by {!Graph.uid}. *)
 
@@ -98,14 +98,7 @@ val peak_tile_words : unit -> int
 
 val reset_peak_tile_words : unit -> unit
 
-(** {2 Engine / strategy selection} *)
-
-type strategy = All_pairs | Multi_source
-
-(** [choose_strategy ~sources ~nstates ~nnodes] picks {!All_pairs}
-    closure only when the product space is small and the source set
-    dense; frontier BFS otherwise. *)
-val choose_strategy : sources:int -> nstates:int -> nnodes:int -> strategy
+(** {2 Engine selection} *)
 
 (** Whether {!st_relation} would take the bulk path for this input
     under the current mode. *)
@@ -129,12 +122,6 @@ val current_caller : unit -> string option
     shared, do not mutate).  Sparse adjacency lives in {!Csr}. *)
 val adjacency : Graph.t -> Bitmatrix.t array
 
-(** The boolean NFA×graph product matrix over product states coded
-    [u * nstates + q] (the coding of [Path_search.product_bfs]):
-    bit [(u,q) → (v,q')] is set iff some transition {m q
-    \xrightarrow{a} q'} pairs with an edge {m u \xrightarrow{a} v}. *)
-val product_matrix : Graph.t -> Nfa.t -> Bitmatrix.t
-
 (** [reach_pairs g nfa srcs] runs the tiled hybrid multiple-source
     frontier BFS from [srcs]: row [i] of the result has bit [v] set iff
     [v] is reachable from [srcs.(i)] along a path accepted by [nfa].
@@ -143,9 +130,9 @@ val product_matrix : Graph.t -> Nfa.t -> Bitmatrix.t
 val reach_pairs : Graph.t -> Nfa.t -> Graph.node array -> Bitmatrix.t
 
 (** Drop-in replacement for [Path_search.reach_relation] (same
-    dimensions, same bits, including the empty-path diagonal).
-    [strategy] defaults to {!choose_strategy} on the full source set. *)
-val reach_relation : ?strategy:strategy -> Graph.t -> Nfa.t -> bool array array
+    dimensions, same bits, including the empty-path diagonal):
+    {!reach_pairs} from every node. *)
+val reach_relation : Graph.t -> Nfa.t -> bool array array
 
 (** The Eval/Containment seam: bulk [reach_relation] when {!use_bulk}
     says so, [Path_search.reach_relation] otherwise.  Each call bumps

@@ -21,9 +21,7 @@ type node = Graph.node
 (** [product_bfs g nfa srcs]: BFS over the product of the graph with the
     NFA from the given (node, state) pairs.  The result is the seen
     array over product states coded [u * nstates + q] (start pairs
-    included), the coding shared with {!Bulk_rpq.product_matrix} — the
-    bulk engine's differential battery pins the two against each
-    other. *)
+    included). *)
 val product_bfs : Graph.t -> Nfa.t -> (node * int) list -> bool array
 
 (** Nodes reachable from [src] by a path whose label is accepted. *)

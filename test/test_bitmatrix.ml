@@ -1,7 +1,7 @@
 (* Kernel-layer properties for the bulk engine: Bitmatrix row ops
-   against a naive bool-array model, closure against iterated BFS, the
-   Kronecker-style product against Path_search.product_bfs, and chaos at
-   the bulk.sweep site (structured trips, never a wrong relation). *)
+   against a naive bool-array model, frontier BFS rows against
+   Path_search.reachable, and chaos at the bulk.sweep site (structured
+   trips, never a wrong relation). *)
 
 let gen_dims =
   (* Column counts straddle the 63-bit word boundaries on purpose. *)
@@ -110,69 +110,13 @@ let prop_row_kernels =
       let changed2 = Bitmatrix.diff_row_into ~mask:src i ~dst:dst2 j in
       or_ok && changed2 = !expect_change2 && agree dst2 mdst2)
 
-(* ---------------- closure vs iterated BFS ------------------------- *)
-
-let gen_square =
-  QCheck2.Gen.(
-    let* n = int_range 1 9 in
-    let* bits = list_size (int_bound (2 * n)) (pair (int_bound (n - 1)) (int_bound (n - 1))) in
-    return (n, bits))
-
-let bfs_closure n model =
-  (* reflexive-transitive closure, one frontier BFS per source *)
-  let out = Array.make_matrix n n false in
-  for s = 0 to n - 1 do
-    let seen = Array.make n false in
-    let rec visit u =
-      if not seen.(u) then begin
-        seen.(u) <- true;
-        for v = 0 to n - 1 do
-          if model.(u).(v) then visit v
-        done
-      end
-    in
-    visit s;
-    out.(s) <- seen
-  done;
-  out
-
-let prop_closure =
-  Testutil.qtest ~count:200 "closure sweeps reach the iterated-BFS fixpoint"
-    gen_square (fun (n, bits) ->
-      let m, model = build n n bits in
-      Bitmatrix.to_bool_matrix (Bitmatrix.closure m) = bfs_closure n model)
-
-(* ---------------- Kronecker product vs product_bfs ---------------- *)
+(* ---------------- frontier BFS vs Path_search -------------------- *)
 
 let gen_case =
   QCheck2.Gen.(
     let* g = Testutil.gen_graph ~max_nodes:4 () in
     let* r = Testutil.gen_regex ~max_depth:2 () in
     return (g, r))
-
-let prop_kronecker =
-  Testutil.qtest ~count:150
-    "product-matrix closure rows equal Path_search.product_bfs" gen_case
-    (fun (g, r) ->
-      let nfa = Nfa.of_regex r in
-      let n = Graph.nnodes g in
-      let m = nfa.Nfa.nstates in
-      let closed = Bitmatrix.closure (Bulk_rpq.product_matrix g nfa) in
-      List.for_all
-        (fun u ->
-          List.for_all
-            (fun q0 ->
-              let seen = Path_search.product_bfs g nfa [ (u, q0) ] in
-              let row = (u * m) + q0 in
-              List.for_all
-                (fun v ->
-                  List.for_all
-                    (fun q -> Bitmatrix.get closed row ((v * m) + q) = seen.((v * m) + q))
-                    (List.init m Fun.id))
-                (Graph.nodes g))
-            (List.init m Fun.id))
-        (Graph.nodes g)
-      && n >= 0)
 
 let prop_reach_pairs =
   Testutil.qtest ~count:150
@@ -196,18 +140,17 @@ let gen_chaos_case =
   QCheck2.Gen.(
     let* g, r = gen_case in
     let* visit = int_range 1 3 in
-    let* strategy = oneofl [ Bulk_rpq.All_pairs; Bulk_rpq.Multi_source ] in
-    return (g, r, visit, strategy))
+    return (g, r, visit))
 
 let prop_chaos =
   Testutil.qtest ~count:100
     "chaos on bulk.sweep: structured trip or correct relation, never wrong"
-    gen_chaos_case (fun (g, r, visit, strategy) ->
+    gen_chaos_case (fun (g, r, visit) ->
       let nfa = Nfa.of_regex r in
       let want = Path_search.reach_relation g nfa in
       Guard.Chaos.arm [ ("bulk.sweep", visit) ];
       let outcome =
-        Guard.run (fun () -> Bulk_rpq.reach_relation ~strategy g nfa)
+        Guard.run (fun () -> Bulk_rpq.reach_relation g nfa)
       in
       let armed_ok =
         match outcome with
@@ -221,16 +164,16 @@ let prop_chaos =
       (* supervise retries the injected trip and recovers the answer *)
       Guard.Chaos.arm [ ("bulk.sweep", visit) ];
       let supervised =
-        Guard.supervise (fun () -> Bulk_rpq.reach_relation ~strategy g nfa)
+        Guard.supervise (fun () -> Bulk_rpq.reach_relation g nfa)
       in
       Guard.Chaos.disarm ();
-      let clean = Bulk_rpq.reach_relation ~strategy g nfa in
+      let clean = Bulk_rpq.reach_relation g nfa in
       armed_ok && supervised = Ok want && clean = want)
 
 let () =
   Alcotest.run "bitmatrix"
     [
-      ("kernels", [ prop_row_ops; prop_row_kernels; prop_closure ]);
-      ("product", [ prop_kronecker; prop_reach_pairs ]);
+      ("kernels", [ prop_row_ops; prop_row_kernels ]);
+      ("product", [ prop_reach_pairs ]);
       ("chaos", [ prop_chaos ]);
     ]

@@ -1,10 +1,10 @@
 (* Differential battery for the bulk bit-matrix RPQ engine.
 
-   Three 200-instance suites, mirroring test_morphism_diff: for every
-   random (graph, RPQ atom) the bulk all-pairs closure and the bulk
-   multiple-source frontier BFS must each produce the exact relation of
-   the pointwise [Path_search.reach_relation] — under every cache /
-   domain configuration — with the deduped [Path_oracle] as an
+   Two 200-instance suites, mirroring test_morphism_diff: for every
+   random (graph, RPQ atom) the bulk multiple-source frontier BFS must
+   produce the exact relation of the pointwise
+   [Path_search.reach_relation] — under every cache / domain
+   configuration — with the deduped [Path_oracle] as an
    independent third opinion; and full-query [Eval.eval] under all five
    semantics must return identical answer sets with the engine forced on
    versus off (only standard-semantics atom relations may take the bulk
@@ -56,13 +56,13 @@ let pp_rel rel =
             |> Printf.sprintf "%d:%s" u)
           rel))
 
-(* ---------------- per-atom relations, per strategy ----------------- *)
+(* ---------------- per-atom relations ------------------------------ *)
 
 let gen_case =
   QCheck2.Gen.(
     pair (Testutil.gen_graph ~max_nodes:6 ()) (Testutil.gen_regex ~max_depth:2 ()))
 
-let check_strategy strategy (g, r) =
+let check_relation (g, r) =
   let nfa = Nfa.of_regex r in
   let want = Path_search.reach_relation g nfa in
   let oracle = Path_oracle.reach_relation g nfa in
@@ -74,28 +74,19 @@ let check_strategy strategy (g, r) =
   List.for_all
     (fun c ->
       let got =
-        with_config c (fun () -> Bulk_rpq.reach_relation ~strategy g nfa)
+        with_config c (fun () -> Bulk_rpq.reach_relation g nfa)
       in
       if got = want then true
       else
         QCheck2.Test.fail_reportf
-          "bulk %s diverges from Path_search under %s on %s / %s@.want %s@.got  %s"
-          (match strategy with
-          | Bulk_rpq.All_pairs -> "all-pairs"
-          | Bulk_rpq.Multi_source -> "multi-source")
+          "bulk diverges from Path_search under %s on %s / %s@.want %s@.got  %s"
           c.cname (Testutil.print_graph g) (Testutil.print_regex r)
           (pp_rel want) (pp_rel got))
     configs
 
-let test_all_pairs =
-  Testutil.qtest ~count:200 "bulk all-pairs closure = Path_search relation"
-    gen_case
-    (check_strategy Bulk_rpq.All_pairs)
-
 let test_multi_source =
   Testutil.qtest ~count:200 "bulk multi-source BFS = Path_search relation"
-    gen_case
-    (check_strategy Bulk_rpq.Multi_source)
+    gen_case check_relation
 
 (* ---------------- full-query Eval under all five semantics --------- *)
 
@@ -159,8 +150,7 @@ let test_sweep_tiling_matrix =
           let got =
             with_sweep sw (fun () ->
                 with_block b (fun () ->
-                    Bulk_rpq.reach_relation ~strategy:Bulk_rpq.Multi_source g
-                      nfa))
+                    Bulk_rpq.reach_relation g nfa))
           in
           if got = want then true
           else
@@ -229,7 +219,7 @@ let test_forced_sweep_counters () =
             let sp0 = Obs.Metrics.counter_value m_sweep_sparse in
             let de0 = Obs.Metrics.counter_value m_sweep_dense in
             ignore
-              (Bulk_rpq.reach_relation ~strategy:Bulk_rpq.Multi_source g nfa);
+              (Bulk_rpq.reach_relation g nfa);
             ( Obs.Metrics.counter_value m_sweep_sparse - sp0,
               Obs.Metrics.counter_value m_sweep_dense - de0 )))
   in
@@ -257,8 +247,7 @@ let test_sparse_chaos =
               Guard.Chaos.arm [ ("bulk.sweep", visit) ];
               let outcome =
                 Guard.run (fun () ->
-                    Bulk_rpq.reach_relation ~strategy:Bulk_rpq.Multi_source g
-                      nfa)
+                    Bulk_rpq.reach_relation g nfa)
               in
               let armed_ok =
                 match outcome with
@@ -270,8 +259,7 @@ let test_sparse_chaos =
               Guard.Chaos.arm [ ("bulk.sweep", visit) ];
               let supervised =
                 Guard.supervise (fun () ->
-                    Bulk_rpq.reach_relation ~strategy:Bulk_rpq.Multi_source g
-                      nfa)
+                    Bulk_rpq.reach_relation g nfa)
               in
               Guard.Chaos.disarm ();
               armed_ok && supervised = Ok want)))
@@ -355,20 +343,18 @@ let test_block_validation () =
 
 let test_mid_graph_crossagreement () =
   (* One deterministic mid-size instance (past the auto crossover) where
-     all three engines and both strategies agree cell for cell. *)
+     the engines agree cell for cell. *)
   let rng = Random.State.make [| 0xB02; 7 |] in
   let g = Generate.gnp ~rng ~nodes:40 ~labels:[ "a"; "b" ] ~p:0.04 in
   let nfa = Nfa.of_regex (Regex.parse "a(a|b)*b?") in
   let want = Path_search.reach_relation g nfa in
-  Alcotest.(check bool) "all-pairs agrees" true
-    (Bulk_rpq.reach_relation ~strategy:Bulk_rpq.All_pairs g nfa = want);
   Alcotest.(check bool) "multi-source agrees" true
-    (Bulk_rpq.reach_relation ~strategy:Bulk_rpq.Multi_source g nfa = want)
+    (Bulk_rpq.reach_relation g nfa = want)
 
 let () =
   Alcotest.run "bulk_diff"
     [
-      ("relations", [ test_all_pairs; test_multi_source ]);
+      ("relations", [ test_multi_source ]);
       ("eval", [ test_eval_all_semantics ]);
       ("kernels", [ test_sweep_tiling_matrix; test_sparse_chaos ]);
       ( "tiling",

@@ -1,6 +1,6 @@
 (* Golden conformance for the bulk bit-matrix engine: pins the E16
-   cells' relation sizes and bulk.* counter deltas (per strategy, fixed
-   seeds, one domain) plus the paper's Example 2.1 answer sets with the
+   cells' relation sizes and bulk.* counter deltas (fixed seeds, one
+   domain) plus the paper's Example 2.1 answer sets with the
    engine forced on.  Any change to the kernels' work accounting, the
    sweep schedule or — worse — the relations themselves shows up as a
    readable fixture diff.
@@ -72,15 +72,15 @@ let render () =
   List.iter
     (fun (name, g, re) ->
       let nfa = Nfa.of_regex re in
-      let run strategy =
+      let run () =
         let s0 = Obs.Metrics.counter_value m_sweeps in
         let f0 = Obs.Metrics.counter_value m_frontier in
         let w0 = Obs.Metrics.counter_value m_words in
         let sp0 = Obs.Metrics.counter_value m_sparse in
         let de0 = Obs.Metrics.counter_value m_dense in
         let t0 = Obs.Metrics.counter_value m_tiles in
-        let rel = Bulk_rpq.reach_relation ~strategy g nfa in
-        ( rel_pairs rel,
+        let rel = Bulk_rpq.reach_relation g nfa in
+        ( rel,
           Obs.Metrics.counter_value m_sweeps - s0,
           Obs.Metrics.counter_value m_frontier - f0,
           Obs.Metrics.counter_value m_words - w0,
@@ -88,20 +88,16 @@ let render () =
           Obs.Metrics.counter_value m_dense - de0,
           Obs.Metrics.counter_value m_tiles - t0 )
       in
-      let pairs_ms, sweeps_ms, frontier_ms, words_ms, sparse_ms, dense_ms,
-          tiles_ms =
-        run Bulk_rpq.Multi_source
+      let rel, sweeps_ms, frontier_ms, words_ms, sparse_ms, dense_ms, tiles_ms =
+        run ()
       in
       line
         "e16.%s.multi_source = pairs=%d sweeps=%d frontier_bits=%d \
          words_anded=%d sweep_sparse=%d sweep_dense=%d tiles=%d"
-        name pairs_ms sweeps_ms frontier_ms words_ms sparse_ms dense_ms
+        name (rel_pairs rel) sweeps_ms frontier_ms words_ms sparse_ms dense_ms
         tiles_ms;
-      let pairs_ap, sweeps_ap, _, words_ap, _, _, _ = run Bulk_rpq.All_pairs in
-      line "e16.%s.all_pairs = pairs=%d sweeps=%d words_anded=%d" name pairs_ap
-        sweeps_ap words_ap;
-      if pairs_ap <> pairs_ms then
-        line "e16.%s.DIVERGENCE pairs %d vs %d" name pairs_ms pairs_ap)
+      if rel <> Path_search.reach_relation g nfa then
+        line "e16.%s.DIVERGENCE from Path_search" name)
     cells;
   line "";
   let answers sem q g =

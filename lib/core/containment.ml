@@ -159,7 +159,9 @@ let star_expansions sem max_len q =
 let search sem ~max_len lhs rhs =
   let total = ref 0 in
   let disjuncts =
-    Seq.concat_map (fun q -> List.to_seq (Crpq.epsilon_free_disjuncts q)) (List.to_seq lhs)
+    Seq.concat_map
+      (fun q -> List.to_seq (Crpq.epsilon_free_disjuncts q))
+      (List.to_seq lhs)
   in
   let witness =
     Seq.find_map

@@ -73,9 +73,7 @@ let check_relation (g, r) =
       (pp_rel want);
   List.for_all
     (fun c ->
-      let got =
-        with_config c (fun () -> Bulk_rpq.reach_relation g nfa)
-      in
+      let got = with_config c (fun () -> Bulk_rpq.reach_relation g nfa) in
       if got = want then true
       else
         QCheck2.Test.fail_reportf
@@ -149,8 +147,7 @@ let test_sweep_tiling_matrix =
         (fun (sw, b) ->
           let got =
             with_sweep sw (fun () ->
-                with_block b (fun () ->
-                    Bulk_rpq.reach_relation g nfa))
+                with_block b (fun () -> Bulk_rpq.reach_relation g nfa))
           in
           if got = want then true
           else
@@ -218,8 +215,7 @@ let test_forced_sweep_counters () =
         with_sweep sw (fun () ->
             let sp0 = Obs.Metrics.counter_value m_sweep_sparse in
             let de0 = Obs.Metrics.counter_value m_sweep_dense in
-            ignore
-              (Bulk_rpq.reach_relation g nfa);
+            ignore (Bulk_rpq.reach_relation g nfa);
             ( Obs.Metrics.counter_value m_sweep_sparse - sp0,
               Obs.Metrics.counter_value m_sweep_dense - de0 )))
   in
@@ -246,8 +242,7 @@ let test_sparse_chaos =
               let want = Path_search.reach_relation g nfa in
               Guard.Chaos.arm [ ("bulk.sweep", visit) ];
               let outcome =
-                Guard.run (fun () ->
-                    Bulk_rpq.reach_relation g nfa)
+                Guard.run (fun () -> Bulk_rpq.reach_relation g nfa)
               in
               let armed_ok =
                 match outcome with
@@ -258,8 +253,7 @@ let test_sparse_chaos =
               in
               Guard.Chaos.arm [ ("bulk.sweep", visit) ];
               let supervised =
-                Guard.supervise (fun () ->
-                    Bulk_rpq.reach_relation g nfa)
+                Guard.supervise (fun () -> Bulk_rpq.reach_relation g nfa)
               in
               Guard.Chaos.disarm ();
               armed_ok && supervised = Ok want)))

@@ -72,32 +72,23 @@ let render () =
   List.iter
     (fun (name, g, re) ->
       let nfa = Nfa.of_regex re in
-      let run () =
-        let s0 = Obs.Metrics.counter_value m_sweeps in
-        let f0 = Obs.Metrics.counter_value m_frontier in
-        let w0 = Obs.Metrics.counter_value m_words in
-        let sp0 = Obs.Metrics.counter_value m_sparse in
-        let de0 = Obs.Metrics.counter_value m_dense in
-        let t0 = Obs.Metrics.counter_value m_tiles in
-        let rel = Bulk_rpq.reach_relation g nfa in
-        ( rel,
-          Obs.Metrics.counter_value m_sweeps - s0,
-          Obs.Metrics.counter_value m_frontier - f0,
-          Obs.Metrics.counter_value m_words - w0,
-          Obs.Metrics.counter_value m_sparse - sp0,
-          Obs.Metrics.counter_value m_dense - de0,
-          Obs.Metrics.counter_value m_tiles - t0 )
-      in
-      let rel, sweeps_ms, frontier_ms, words_ms, sparse_ms, dense_ms, tiles_ms =
-        run ()
-      in
+      let s0 = Obs.Metrics.counter_value m_sweeps in
+      let f0 = Obs.Metrics.counter_value m_frontier in
+      let w0 = Obs.Metrics.counter_value m_words in
+      let sp0 = Obs.Metrics.counter_value m_sparse in
+      let de0 = Obs.Metrics.counter_value m_dense in
+      let t0 = Obs.Metrics.counter_value m_tiles in
+      let pairs = rel_pairs (Bulk_rpq.reach_relation g nfa) in
       line
         "e16.%s.multi_source = pairs=%d sweeps=%d frontier_bits=%d \
          words_anded=%d sweep_sparse=%d sweep_dense=%d tiles=%d"
-        name (rel_pairs rel) sweeps_ms frontier_ms words_ms sparse_ms dense_ms
-        tiles_ms;
-      if rel <> Path_search.reach_relation g nfa then
-        line "e16.%s.DIVERGENCE from Path_search" name)
+        name pairs
+        (Obs.Metrics.counter_value m_sweeps - s0)
+        (Obs.Metrics.counter_value m_frontier - f0)
+        (Obs.Metrics.counter_value m_words - w0)
+        (Obs.Metrics.counter_value m_sparse - sp0)
+        (Obs.Metrics.counter_value m_dense - de0)
+        (Obs.Metrics.counter_value m_tiles - t0))
     cells;
   line "";
   let answers sem q g =

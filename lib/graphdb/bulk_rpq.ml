@@ -264,15 +264,18 @@ let make_ctx g nfa =
    [words_per_row] word-ORs per (frontier bit, transition); the sparse
    push costs one scattered bit per successor, each a few times the cost
    of a word-OR.  Degrees come from CSR pointer differences, so the
-   probe itself is O(frontier bits × transitions). *)
+   probe itself is O(frontier bits × transitions).  A probe that gathers
+   no successor at all has proved the next frontier empty: [None] ends
+   the search without running the sweep.  The forced kernels skip the
+   probe and always sweep. *)
 let sparse_op_cost = 2
 
 let choose_sweep ctx frontier rows =
   match !sweep_ref with
-  | Sparse -> Sparse
-  | Dense -> Dense
+  | Sparse -> Some Sparse
+  | Dense -> Some Dense
   | Adaptive ->
-    if not ctx.dense_ok then Sparse
+    if not ctx.dense_ok then Some Sparse
     else begin
       let wpr = words_per_row ctx.n in
       let dense_words = ref 0 and gathered = ref 0 in
@@ -290,7 +293,9 @@ let choose_sweep ctx frontier rows =
                       trans)
             done)
         ctx.delta;
-      if sparse_op_cost * !gathered < !dense_words then Sparse else Dense
+      if !gathered = 0 then None
+      else if sparse_op_cost * !gathered < !dense_words then Some Sparse
+      else Some Dense
     end
 
 let sweep_rows_dense ctx adj frontier nxt lo hi =
@@ -360,32 +365,34 @@ let solve_tile ctx nfa srcs =
   let running = ref (s > 0 && Array.exists (fun f -> Bitmatrix.popcount f > 0) frontier) in
   while !running do
     Guard.checkpoint "bulk.sweep";
-    Obs.Metrics.incr m_sweeps;
-    let kernel = choose_sweep ctx frontier s in
-    let nxt = fresh () in
-    (match kernel with
-    | Dense ->
-      Obs.Metrics.incr m_sweep_dense;
-      let adj = Lazy.force ctx.dense in
-      ignore
-        (Parmap.map (fun (lo, hi) -> sweep_rows_dense ctx adj frontier nxt lo hi) blocks)
-    | Sparse | Adaptive ->
-      Obs.Metrics.incr m_sweep_sparse;
-      ignore
-        (Parmap.map (fun (lo, hi) -> sweep_rows_sparse ctx frontier nxt lo hi) blocks));
-    running := false;
-    for q = 0 to m - 1 do
-      for i = 0 to s - 1 do
-        ignore (Bitmatrix.diff_row_into ~mask:visited.(q) i ~dst:nxt.(q) i)
-      done;
-      let bits = Bitmatrix.popcount nxt.(q) in
-      if bits > 0 then begin
-        running := true;
-        Obs.Metrics.add m_frontier_bits bits;
-        ignore (Bitmatrix.union_into ~src:nxt.(q) ~dst:visited.(q))
-      end;
-      frontier.(q) <- nxt.(q)
-    done
+    match choose_sweep ctx frontier s with
+    | None -> running := false
+    | Some kernel ->
+      Obs.Metrics.incr m_sweeps;
+      let nxt = fresh () in
+      (match kernel with
+      | Dense ->
+        Obs.Metrics.incr m_sweep_dense;
+        let adj = Lazy.force ctx.dense in
+        ignore
+          (Parmap.map (fun (lo, hi) -> sweep_rows_dense ctx adj frontier nxt lo hi) blocks)
+      | Sparse | Adaptive ->
+        Obs.Metrics.incr m_sweep_sparse;
+        ignore
+          (Parmap.map (fun (lo, hi) -> sweep_rows_sparse ctx frontier nxt lo hi) blocks));
+      running := false;
+      for q = 0 to m - 1 do
+        for i = 0 to s - 1 do
+          ignore (Bitmatrix.diff_row_into ~mask:visited.(q) i ~dst:nxt.(q) i)
+        done;
+        let bits = Bitmatrix.popcount nxt.(q) in
+        if bits > 0 then begin
+          running := true;
+          Obs.Metrics.add m_frontier_bits bits;
+          ignore (Bitmatrix.union_into ~src:nxt.(q) ~dst:visited.(q))
+        end;
+        frontier.(q) <- nxt.(q)
+      done
   done;
   visited
 

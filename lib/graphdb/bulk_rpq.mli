@@ -21,7 +21,8 @@
       {!Bitmatrix.scatter_row}).  The choice is made per sweep from the
       measured frontier density (CSR degrees vs row width), sequentially
       on the immutable frontier snapshot, so results and counters stay
-      domain-count- and strategy-independent; past {!dense_node_cap}
+      domain-count- and strategy-independent; a frontier with no
+      successor ends the search without a sweep.  Past {!dense_node_cap}
       nodes the dense matrices are never built.  [INJCRPQ_BULK_SWEEP] /
       {!set_sweep} force a kernel.
 

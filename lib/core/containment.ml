@@ -157,6 +157,7 @@ let star_expansions sem max_len q =
    an early disjunct spares the later ones) to keep the space small and
    because ε-atoms are already folded into disjuncts. *)
 let search sem ~max_len lhs rhs =
+  node_semantics_only sem;
   let total = ref 0 in
   let disjuncts =
     Seq.concat_map
@@ -182,12 +183,10 @@ let supervised ?guard f =
   | Error trip -> resource_exhausted trip
 
 let finite_lhs ?guard sem q1 q2 =
-  node_semantics_only sem;
   check_arity q1 q2;
   supervised ?guard (fun () -> search sem ~max_len:None [ q1 ] [ q2 ])
 
 let bounded ?guard sem ~max_len q1 q2 =
-  node_semantics_only sem;
   check_arity q1 q2;
   supervised ?guard (fun () -> search sem ~max_len:(Some max_len) [ q1 ] [ q2 ])
 

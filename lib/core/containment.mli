@@ -84,8 +84,9 @@ val cq_cq : Semantics.t -> Cq.t -> Cq.t -> bool
     most [max_len] — and return the first that defeats {e every} right
     query.  Exhausting the space gives [Contained] for [None] and
     [Unknown (Budget_exhausted _)] otherwise.  Each expansion passes the
-    [containment.search] guard checkpoint.  Node semantics only; no
-    guard boundary of its own. *)
+    [containment.search] guard checkpoint.  No guard boundary of its
+    own.
+    @raise Invalid_argument on edge semantics. *)
 val search :
   Semantics.t -> max_len:int option -> Crpq.t list -> Crpq.t list -> verdict
 

@@ -54,10 +54,6 @@ let eval_bool sem u g = List.exists (fun q -> Eval.eval_bool sem q g) u.disjunct
 let contained_impl ~bound sem u1 u2 =
   if u1.arity <> u2.arity then
     invalid_arg "Ucrpq.contained: unions of different arities";
-  (match sem with
-  | Semantics.St | Semantics.A_inj | Semantics.Q_inj -> ()
-  | Semantics.A_edge_inj | Semantics.Q_edge_inj ->
-    invalid_arg "Ucrpq.contained: edge semantics not supported (Section 7)");
   let lhs = u1.disjuncts and rhs = u2.disjuncts in
   let all_finite = List.for_all Crpq.is_finite lhs in
   if sem = Semantics.Q_inj && not all_finite then begin

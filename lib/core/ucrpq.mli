@@ -41,6 +41,8 @@ val eval_bool : Semantics.t -> t -> Graph.t -> bool
     Theorem 5.1 algorithm; any semantics when every left disjunct is in
     CRPQ{^ fin}. *)
 
+(** @raise Invalid_argument on edge semantics or unions of different
+    arities. *)
 val contained :
   ?bound:int -> ?guard:Guard.t -> Semantics.t -> t -> t -> Containment.verdict
 

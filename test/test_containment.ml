@@ -72,7 +72,25 @@ let test_edge_semantics_rejected () =
   Alcotest.check_raises "edge semantics"
     (Invalid_argument "Containment: edge semantics not supported (Section 7)")
     (fun () ->
-      ignore (decide Semantics.A_edge_inj (Crpq.parse "x -[a]-> y") (Crpq.parse "x -[a]-> y")))
+      ignore (decide Semantics.A_edge_inj (Crpq.parse "x -[a]-> y") (Crpq.parse "x -[a]-> y")));
+  (* every entry into the expansion search rejects edge semantics the
+     same way, the public search itself included *)
+  let q1 = Crpq.parse "x -[a+]-> y" and q2 = Crpq.parse "x -[a]-> y" in
+  List.iter
+    (fun (name, run) ->
+      List.iter
+        (fun sem ->
+          Alcotest.check_raises name
+            (Invalid_argument "Containment: edge semantics not supported (Section 7)")
+            (fun () -> ignore (run sem)))
+        [ Semantics.A_edge_inj; Semantics.Q_edge_inj ])
+    [
+      ("search", fun sem -> Containment.search sem ~max_len:(Some 2) [ q1 ] [ q2 ]);
+      ("finite_lhs", fun sem -> Containment.finite_lhs sem q2 q1);
+      ("bounded", fun sem -> Containment.bounded sem ~max_len:2 q1 q2);
+      ( "Ucrpq.contained",
+        fun sem -> Ucrpq.contained sem (Ucrpq.of_crpq q1) (Ucrpq.of_crpq q2) );
+    ]
 
 let test_arity_mismatch () =
   Alcotest.check_raises "arity" (Invalid_argument "Containment: queries of different arities")

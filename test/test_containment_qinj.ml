@@ -168,6 +168,215 @@ let test_fuzz_vs_oracle () =
         Alcotest.failf "case %d: returned counterexample does not refute" i
   done
 
+(* ------------------------------------------------------------------ *)
+(* Pinned corpus: the decider's verdicts and search-space sizes        *)
+(* ------------------------------------------------------------------ *)
+
+(* The paper's q-inj examples, the Theorem 5.1 scaling pairs at sizes
+   2-4, and 100 generated contained-biased pairs with 3-4 atoms.  For
+   every pair the verdict, the disjunct counts, the morphism-type count
+   and the number of tracker states explored are pinned; on contained
+   pairs also the number of abstractions checked.  Witnesses are not
+   pinned (the order in which values are discovered may pick another
+   one); they must refute the right query by the expansion oracle. *)
+let corpus () =
+  let p = Crpq.parse in
+  let paper =
+    [
+      ("ex47", Paper_examples.example_47_q1, Paper_examples.example_47_q2);
+      ("ex47'", Paper_examples.example_47_q1', Paper_examples.example_47_q2');
+      ("sec4 a+/a*", p "Q(x, y) :- x -[a+]-> y", p "Q(x, y) :- x -[a*]-> y");
+      ("sec4 a*/a+", p "Q(x, y) :- x -[a*]-> y", p "Q(x, y) :- x -[a+]-> y");
+      ("47-style", p "x -[a+]-> y, x -[b]-> y", p "x -[a+]-> y, u -[b]-> v");
+      ("pinned dup", p "Q(x, y) :- x -[a+]-> y", p "Q(x, y) :- x -[a+]-> y, x -[a+]-> y");
+      ("dup refl", p "Q(x, y) :- x -[f+]-> y, x -[f+]-> y",
+        p "Q(x, y) :- x -[f+]-> y, x -[f+]-> y");
+      ("loop", p "x -[(ab)+]-> x", p "x -[(a|b)+]-> x");
+      ("composition", p "x -[a]-> y, y -[b+]-> z", p "x -[ab+]-> z");
+    ]
+  in
+  let scaling =
+    List.concat_map
+      (fun (size, pairs) ->
+        List.mapi (fun j (q1, q2) -> (Printf.sprintf "scaling %d.%d" size j, q1, q2)) pairs)
+      (Suite.qinj_scaling ~seed:13 ~sizes:[ 2; 3; 4 ])
+  in
+  let rec generated i acc =
+    if List.length acc = 100 then List.rev acc
+    else begin
+      let rng = Random.State.make [| 17; i |] in
+      let q1, q2 =
+        Qgen.contained_pair ~rng ~labels:[ "a"; "b" ] ~nvars:3 ~natoms:(3 + (i mod 2))
+          ~cls:Crpq.Class_crpq ()
+      in
+      if Suite.precheck q1 && Suite.precheck q2 then
+        generated (i + 1) ((Printf.sprintf "gen %d" i, q1, q2) :: acc)
+      else generated (i + 1) acc
+    end
+  in
+  paper @ scaling @ generated 0 []
+
+let m_states = Obs.Metrics.counter "qinj.abstraction_states"
+
+(* One pin: [<verdict> <lhs> <rhs> <types> <states> <abstractions>],
+   the last only on contained pairs; "U" on an Unsupported cap. *)
+let corpus_line (name, q1, q2) =
+  let before = Obs.Metrics.counter_value m_states in
+  match Containment_qinj.decide_with_stats q1 q2 with
+  | exception Containment_qinj.Unsupported _ -> "U"
+  | verdict, s ->
+    let states = Obs.Metrics.counter_value m_states - before in
+    let common =
+      Printf.sprintf "%d %d %d %d" s.Containment_qinj.lhs_disjuncts
+        s.Containment_qinj.rhs_disjuncts s.Containment_qinj.morphism_types states
+    in
+    (match verdict with
+    | Containment_qinj.Qinj_contained ->
+      Printf.sprintf "C %s %d" common s.Containment_qinj.abstractions_checked
+    | Containment_qinj.Qinj_not_contained e ->
+      let g, t = Expansion.to_graph e in
+      if Eval.check_via_expansions Semantics.Q_inj q2 g t then
+        Alcotest.failf "%s: the witness does not refute the right query" name;
+      "N " ^ common)
+
+let corpus_pins =
+  [|
+    "C 1 1 21 4 1";
+    "N 1 1 42 4";
+    "C 1 2 1 5 4";
+    "N 2 1 0 0";
+    "N 1 1 42 7";
+    "N 1 2 1 6";
+    "C 2 2 5 14 21";
+    "C 1 1 3 6 2";
+    "C 1 1 21 7 4";
+    "C 1 1 3 4 1";
+    "C 2 2 9 16 8";
+    "C 2 1 0 0 0";
+    "C 4 2 120 34 60";
+    "C 1 1 18 7 1";
+    "C 7 4 136 42 36";
+    "C 4 4 397 54 66";
+    "C 12 6 156 162 798";
+    "C 6 4 1239 67 27";
+    "C 4 2 109 60 225";
+    "C 8 4 204 108 240";
+    "C 4 2 66 36 18";
+    "C 10 10 232 72 45";
+    "C 2 2 18 30 150";
+    "N 4 2 12 16";
+    "C 4 4 366 40 100";
+    "C 2 2 95 49 45";
+    "C 2 2 114 20 24";
+    "C 2 2 30 38 480";
+    "C 1 1 18 13 20";
+    "C 4 2 39 76 260";
+    "C 2 2 15 18 12";
+    "N 5 1 72 26";
+    "C 2 2 114 23 20";
+    "C 2 1 17 35 60";
+    "C 4 4 183 36 72";
+    "N 12 4 32 10";
+    "C 4 4 183 40 72";
+    "C 8 4 156 120 225";
+    "C 2 2 9 17 20";
+    "C 16 26 2530 176 971";
+    "C 2 1 36 159 720";
+    "C 4 4 393 66 360";
+    "C 2 2 11 17 8";
+    "C 4 2 32 44 25";
+    "C 4 4 178 46 96";
+    "C 8 4 447 94 360";
+    "C 8 4 139 52 59";
+    "C 2 2 24 23 10";
+    "C 1 1 45 11 10";
+    "N 8 2 350 117";
+    "C 2 2 9 90 456";
+    "C 4 4 207 84 1344";
+    "C 4 4 85 30 30";
+    "C 2 1 136 87 320";
+    "C 2 1 42 51 203";
+    "C 8 2 132 108 288";
+    "C 4 4 144 24 12";
+    "C 4 4 639 32 10";
+    "C 2 2 8 17 10";
+    "C 3 2 36 21 4";
+    "C 9 4 161 50 49";
+    "C 1 1 7 14 20";
+    "C 4 4 120 44 144";
+    "C 8 8 272 72 72";
+    "C 16 4 267 95 67";
+    "C 4 4 32 94 300";
+    "C 2 2 102 19 20";
+    "C 4 6 80 48 60";
+    "C 12 4 153 92 71";
+    "C 10 4 283 142 984";
+    "C 2 3 32 34 72";
+    "C 7 7 183 67 80";
+    "C 4 4 88 36 25";
+    "C 5 5 196 38 12";
+    "C 4 4 93 50 150";
+    "C 2 2 150 31 40";
+    "N 2 1 20 8";
+    "C 6 6 40 55 41";
+    "C 1 1 6 25 260";
+    "C 1 2 15 9 4";
+    "C 8 4 73 44 23";
+    "C 1 1 2 20 11";
+    "C 1 1 3 57 820";
+    "C 10 2 78 114 582";
+    "C 6 2 165 67 156";
+    "C 2 2 108 27 20";
+    "C 13 6 564 1000 15614";
+    "N 5 2 13 31";
+    "C 4 4 48 42 60";
+    "C 2 2 109 37 144";
+    "C 2 2 9 14 4";
+    "C 3 4 18 41 24";
+    "C 12 4 379 70 31";
+    "C 2 2 8 37 180";
+    "C 1 1 56 6 1";
+    "C 10 14 307 93 100";
+    "C 2 2 9 23 15";
+    "C 9 8 1314 90 216";
+    "C 2 2 204 13 4";
+    "C 4 2 28 38 8";
+    "N 4 1 20 14";
+    "C 9 8 901 118 268";
+    "C 1 1 30 14 25";
+    "C 4 4 240 56 98";
+    "C 4 4 120 154 402";
+    "C 8 8 777 72 100";
+    "C 1 1 45 9 4";
+    "C 5 6 71 119 264";
+    "C 2 1 81 21 40";
+    "C 1 1 2 11 2";
+    "C 1 1 2 15 15";
+    "C 14 14 272 125 150";
+    "C 8 2 43 56 59";
+    "C 2 2 40 28 96";
+    "C 1 1 30 11 6";
+    "C 12 4 855 140 370";
+    "C 8 8 241 48 49";
+    "C 2 2 8 25 22";
+  |]
+
+(* The optimizer pre-pass (INJCRPQ_OPTIMIZE=on) would run nested
+   containment decisions inside the counterexample re-check and tick the
+   pinned counter, so the corpus pins the decider without it. *)
+let test_corpus () =
+  Obs.Metrics.set_enabled true;
+  Eval.set_preprocessor (fun _ q -> q);
+  Fun.protect ~finally:Testutil.install_env_preprocessor (fun () ->
+      let pairs = Array.of_list (corpus ()) in
+      check Alcotest.int "corpus size" (Array.length corpus_pins) (Array.length pairs);
+      Array.iteri
+        (fun i ((name, q1, q2) as pair) ->
+          check Alcotest.string
+            (Printf.sprintf "%s: %s <= %s" name (Crpq.to_string q1) (Crpq.to_string q2))
+            corpus_pins.(i) (corpus_line pair))
+        pairs)
+
 let () =
   Alcotest.run "containment_qinj"
     [
@@ -183,6 +392,7 @@ let () =
           Alcotest.test_case "normalize_concat" `Quick test_normalize_concat;
           Alcotest.test_case "fuzz vs oracle" `Slow test_fuzz_vs_oracle;
         ] );
+      ("corpus", [ Alcotest.test_case "pinned verdicts and sizes" `Quick test_corpus ]);
       ( "properties",
         [
           prop_normalize_preserves_semantics;

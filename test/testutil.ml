@@ -4,10 +4,12 @@
    every Eval / Containment entry point for the whole test process.
    CI runs a tier-1 leg with it set: since applied rewrites are
    containment-certified, the suite must pass unchanged. *)
-let () =
+let install_env_preprocessor () =
   match Sys.getenv_opt "INJCRPQ_OPTIMIZE" with
   | Some ("on" | "1" | "true") -> Analysis.install_preprocessor ()
-  | _ -> ()
+  | _ -> Eval.set_preprocessor (fun _ q -> q)
+
+let () = install_env_preprocessor ()
 
 (* Deterministic qcheck seeding: QCHECK_SEED pins the whole run;
    otherwise one seed is drawn per process.  Every qtest derives its

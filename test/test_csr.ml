@@ -56,7 +56,21 @@ let test_nnz_sums =
       in
       total csr.Csr.fwd = Graph.nedges g && total csr.Csr.rev = Graph.nedges g)
 
+(* The identity below holds only through [Cache.Memo], which the
+   INJCRPQ_CACHE=off and INJCRPQ_CHAOS legs bypass: establish the memo
+   for the test's duration and restore the process-wide setting after. *)
+let with_memo_on f =
+  let was_enabled = Cache.is_enabled () in
+  Cache.set_enabled true;
+  Guard.Chaos.disarm ();
+  Fun.protect f ~finally:(fun () ->
+      Cache.set_enabled was_enabled;
+      match Sys.getenv_opt "INJCRPQ_CHAOS" with
+      | Some spec -> ignore (Guard.Chaos.arm_spec spec)
+      | None -> ())
+
 let test_memoized_identity () =
+  with_memo_on @@ fun () ->
   let g = Graph.make ~nnodes:4 [ (0, "a", 1); (1, "b", 2); (2, "a", 3) ] in
   let c1 = Csr.of_graph g and c2 = Csr.of_graph g in
   Alcotest.(check bool) "same graph, same memoized structure" true (c1 == c2);

@@ -335,6 +335,11 @@ let iter_answers sem q g ~bound f =
 let check_impl sem q g tuple =
   if List.length tuple <> List.length q.Crpq.free then
     invalid_arg "Eval.check: tuple arity mismatch";
+  (* a node outside the graph is in no answer (and -1 would read as the
+     join's "unassigned" marker) *)
+  let n = Graph.nnodes g in
+  List.for_all (fun u -> u >= 0 && u < n) tuple
+  &&
   (* repeated free variables must receive equal nodes *)
   let tbl = Hashtbl.create 8 in
   let consistent =

@@ -16,7 +16,9 @@
     The expansion-based evaluators implement Propositions 2.2 / 2.3
     literally and serve as independent oracles in the test suite. *)
 
-(** [check sem q g tuple] decides {m \bar v \in Q(G)^\star}.
+(** [check sem q g tuple] decides {m \bar v \in Q(G)^\star}.  A tuple
+    naming a node outside [0 .. nnodes g - 1] is in no answer: the result
+    is [false].
     @raise Invalid_argument if the tuple arity differs from the number of
     free variables. *)
 val check : Semantics.t -> Crpq.t -> Graph.t -> Graph.node list -> bool

@@ -184,6 +184,26 @@ let test_repeated_free_vars () =
   check Alcotest.bool "inconsistent tuple" false
     (Eval.check Semantics.St q g [ 0; 1 ])
 
+(* A node outside the graph is in no answer: -1 (the join's "unassigned"
+   marker) must not read as a free variable, and a node past the end
+   must not index out of bounds.  The expansion oracle agrees. *)
+let test_nodes_outside_graph () =
+  let g = Graph.make ~nnodes:3 [ (0, "a", 1); (1, "a", 2) ] in
+  let q = Crpq.parse "Q(x, y) :- x -[a+]-> y" in
+  List.iter
+    (fun sem ->
+      List.iter
+        (fun (t, expected) ->
+          let name =
+            Printf.sprintf "%s [%s]" (Semantics.to_string sem)
+              (String.concat "; " (List.map string_of_int t))
+          in
+          check Alcotest.bool (name ^ " oracle") expected
+            (Eval.check_via_expansions sem q g t);
+          check Alcotest.bool name expected (Eval.check sem q g t))
+        [ ([ 0; 2 ], true); ([ -1; 2 ], false); ([ 0; 7 ], false); ([ 3; 3 ], false) ])
+    Semantics.all
+
 let () =
   Alcotest.run "eval"
     [
@@ -203,6 +223,7 @@ let () =
           Alcotest.test_case "eval_bool" `Quick test_eval_bool;
           Alcotest.test_case "arity mismatch" `Quick test_arity_mismatch;
           Alcotest.test_case "repeated free vars" `Quick test_repeated_free_vars;
+          Alcotest.test_case "nodes outside the graph" `Quick test_nodes_outside_graph;
         ] );
       ( "properties",
         [

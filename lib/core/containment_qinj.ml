@@ -9,6 +9,7 @@ type stats = {
   rhs_disjuncts : int;
   abstractions_checked : int;
   morphism_types : int;
+  aq2_states : int;
 }
 
 (* Search telemetry (no-ops unless [Obs.Metrics] is enabled).  The
@@ -21,45 +22,44 @@ let m_abstractions_checked = Obs.Metrics.counter "qinj.abstractions_checked"
 let m_morphism_types = Obs.Metrics.counter "qinj.morphism_types"
 
 (* ------------------------------------------------------------------ *)
-(* Square boolean relations over the states of A_Q2, as bytes           *)
+(* Packed bit rows over the states of A_Q2                             *)
 (* ------------------------------------------------------------------ *)
 
-module Rel = struct
-  type t = Bytes.t
+(* A set of states is a row of [words n] native ints holding [w] bits
+   each; a relation is [n] such rows laid end to end, row [q] at word
+   [q * nw].  Every word is read in [chunks] chunks of [chunk_bits]
+   bits, so [w] is a multiple of [chunk_bits] and no chunk straddles a
+   word.  On 64-bit platforms [w = 63]: bit 62 is the sign bit, so a
+   word is tested with [<> 0] and shifted with [lsr], never [asr]. *)
+module Bits = struct
+  let chunk_bits = 9
 
-  let create n = Bytes.make (n * n) '0'
+  let chunks = Sys.int_size / chunk_bits
 
-  let identity n =
-    let r = create n in
-    for q = 0 to n - 1 do
-      Bytes.set r ((q * n) + q) '1'
-    done;
+  let w = chunks * chunk_bits
+
+  let words n = (n + w - 1) / w
+
+  let mem a off q = a.(off + (q / w)) land (1 lsl (q mod w)) <> 0
+
+  let add a off q =
+    let i = off + (q / w) in
+    a.(i) <- a.(i) lor (1 lsl (q mod w))
+
+  (* [dst.(doff ..) <- dst.(doff ..) lor src.(soff ..)] over [nw] words *)
+  let or_into ~nw src soff dst doff =
+    for k = 0 to nw - 1 do
+      dst.(doff + k) <- dst.(doff + k) lor src.(soff + k)
+    done
+
+  let rec intersects ~nw a aoff b boff =
+    nw > 0
+    && (a.(aoff) land b.(boff) <> 0 || intersects ~nw:(nw - 1) a (aoff + 1) b (boff + 1))
+
+  let of_list ~nw qs =
+    let r = Array.make nw 0 in
+    List.iter (add r 0) qs;
     r
-
-  let get r n q q' = Bytes.get r ((q * n) + q') = '1'
-
-  let set r n q q' = Bytes.set r ((q * n) + q') '1'
-
-  (* r ∘ Δa where [succs.(q)] lists a-successors of q *)
-  let compose r n (succs : int list array) =
-    let out = create n in
-    for q = 0 to n - 1 do
-      for p = 0 to n - 1 do
-        if get r n q p then List.iter (fun p' -> set out n q p') succs.(p)
-      done
-    done;
-    out
-
-  let union r s =
-    let out = Bytes.copy r in
-    Bytes.iteri (fun i c -> if c = '1' then Bytes.set out i '1') s;
-    out
-
-  (* left × right: all pairs (q, q') with q in left, q' in right *)
-  let of_product n left right =
-    let out = create n in
-    List.iter (fun q -> List.iter (fun q' -> set out n q q') right) left;
-    out
 end
 
 (* ------------------------------------------------------------------ *)
@@ -171,14 +171,55 @@ let split_parallel_letters q =
 (* The combined right-hand automaton A_Q2                              *)
 (* ------------------------------------------------------------------ *)
 
+(* What the tracker needs about one letter [a], computed once per
+   decision: Δa as packed rows, a chunk table that turns r ∘ Δa into one
+   row OR per nonzero chunk of r, and the image of the initial states. *)
+type letter_tables = {
+  delta : int array;  (** Δa: [n] rows *)
+  table : int array;
+      (** entry [(g, v)], [nw] words at [((g lsl chunk_bits) + v) * nw]:
+          the union of the Δa rows of the states [g * chunk_bits + b]
+          for the bits [b] set in [v] *)
+  img_init : int array;  (** one row: Δa-successors of the initial states *)
+}
+
 type aq2 = {
   n : int;  (** number of states *)
+  nw : int;  (** words per row *)
   atoms : (int * Crpq.atom) array;  (** (disjunct id, atom) per atom id *)
   ranges : (int * int) array;  (** state range [lo, hi) per atom id *)
-  initials : int list;  (** component initial states *)
-  finals : int list;  (** component final states *)
-  succs : (Word.symbol, int list array) Hashtbl.t;
+  finals : int array;  (** one row: the component final states *)
+  atom_inits : int list array;  (** per atom id: its initial states *)
+  atom_init_masks : int array array;  (** per atom id: the same as a row *)
+  atom_finals : int list array;
+  atom_final_masks : int array array;
+  all_states : int array;  (** one row: every state *)
+  letters : (Word.symbol, letter_tables) Hashtbl.t;
 }
+
+let letter_tables ~n ~nw (completed : Nfa.t) initials letter =
+  let delta = Array.make (n * nw) 0 in
+  Array.iteri
+    (fun q out ->
+      List.iter (fun (x, q') -> if String.equal x letter then Bits.add delta (q * nw) q') out)
+    completed.Nfa.delta;
+  let size = 1 lsl Bits.chunk_bits in
+  let groups = (n + Bits.chunk_bits - 1) / Bits.chunk_bits in
+  let table = Array.make (groups * size * nw) 0 in
+  for g = 0 to groups - 1 do
+    for v = 1 to size - 1 do
+      (* entry v = entry (v without its lowest bit) ∪ the row of that bit *)
+      let low = v land -v in
+      let rec bit b = if 1 lsl b = low then b else bit (b + 1) in
+      let e = ((g lsl Bits.chunk_bits) + v) * nw in
+      Bits.or_into ~nw table (((g lsl Bits.chunk_bits) + (v lxor low)) * nw) table e;
+      let q = (g * Bits.chunk_bits) + bit 0 in
+      if q < n then Bits.or_into ~nw delta (q * nw) table e
+    done
+  done;
+  let img_init = Array.make nw 0 in
+  List.iter (fun q -> Bits.or_into ~nw delta (q * nw) img_init 0) initials;
+  { delta; table; img_init }
 
 let build_aq2 ~alphabet rhs_disjuncts =
   let atoms =
@@ -207,143 +248,156 @@ let build_aq2 ~alphabet rhs_disjuncts =
        and source states are outside every component range *)
     let completed = Nfa.co_complete ~alphabet (Nfa.complete ~alphabet combined) in
     let n = completed.Nfa.nstates in
-    let succs = Hashtbl.create 16 in
+    let nw = Bits.words n in
+    let in_range id = List.filter (fun q -> q >= fst ranges.(id) && q < snd ranges.(id)) in
+    let atom_inits = Array.mapi (fun id _ -> in_range id initials) atoms in
+    let atom_finals = Array.mapi (fun id _ -> in_range id finals) atoms in
+    let letters = Hashtbl.create 16 in
     List.iter
       (fun letter ->
-        let arr = Array.make n [] in
-        for q = 0 to n - 1 do
-          arr.(q) <-
-            List.filter_map
-              (fun (x, q') -> if String.equal x letter then Some q' else None)
-              completed.Nfa.delta.(q)
-        done;
-        Hashtbl.replace succs letter arr)
+        Hashtbl.replace letters letter (letter_tables ~n ~nw completed initials letter))
       alphabet;
-    Some { n; atoms; ranges; initials; finals; succs }
+    Some
+      {
+        n;
+        nw;
+        atoms;
+        ranges;
+        finals = Bits.of_list ~nw finals;
+        atom_inits;
+        atom_init_masks = Array.map (Bits.of_list ~nw) atom_inits;
+        atom_finals;
+        atom_final_masks = Array.map (Bits.of_list ~nw) atom_finals;
+        all_states = Bits.of_list ~nw (List.init n Fun.id);
+        letters;
+      }
   end
+
+(* [dst]'s row at [drow] ∪= the Δa rows of the states in [word], whose
+   lowest chunk is chunk group [g]: one table row per nonzero chunk,
+   stopping at the last one ([lsr] brings the sign bit down like any
+   other bit) *)
+let rec or_image ~nw table word g dst drow =
+  if word <> 0 then begin
+    let v = word land ((1 lsl Bits.chunk_bits) - 1) in
+    if v <> 0 then Bits.or_into ~nw table (((g lsl Bits.chunk_bits) + v) * nw) dst drow;
+    or_image ~nw table (word lsr Bits.chunk_bits) (g + 1) dst drow
+  end
+
+(* [dst]'s relation at [doff] (all zero) becomes [src]'s relation at
+   [soff] composed with Δa *)
+let compose (aq : aq2) lt src soff dst doff =
+  let nw = aq.nw in
+  for q = 0 to aq.n - 1 do
+    for j = 0 to nw - 1 do
+      or_image ~nw lt.table src.(soff + (q * nw) + j) (j * Bits.chunks) dst (doff + (q * nw))
+    done
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Tracker: achievable abstraction values of a left atom               *)
 (* ------------------------------------------------------------------ *)
 
+(* A tracker state is one array of words, which is also its hash key:
+   the relations rel, plus, gap, infix and sufrel ([n] rows each, in
+   this order), the preffinal row, the reached states of the atom's own
+   NFA as a bit set, and a final nonempty flag.  A value is the prefix
+   holding rel, plus, gap and infix. *)
 type track = {
   lset : int list;  (** reached states of the atom's own NFA *)
-  rel : Rel.t;
-  plus : Rel.t;
-  gap : Rel.t;
-  infix : Rel.t;
-  preffinal : Bytes.t;  (** length n *)
-  sufrel : Rel.t;
-  nonempty : bool;
+  words : int array;
 }
 
-let track_key t =
-  String.concat "|"
-    [
-      String.concat "," (List.map string_of_int t.lset);
-      Bytes.to_string t.rel;
-      Bytes.to_string t.plus;
-      Bytes.to_string t.gap;
-      Bytes.to_string t.infix;
-      Bytes.to_string t.preffinal;
-      Bytes.to_string t.sufrel;
-      (if t.nonempty then "1" else "0");
-    ]
+module Words = Hashtbl.Make (struct
+  type t = int array
 
-let value_key t =
-  String.concat "|"
-    [
-      Bytes.to_string t.rel;
-      Bytes.to_string t.plus;
-      Bytes.to_string t.gap;
-      Bytes.to_string t.infix;
-    ]
+  let rec equal_from i (a : t) (b : t) =
+    i = Array.length a || (a.(i) = b.(i) && equal_from (i + 1) a b)
+
+  let equal (a : t) (b : t) = Array.length a = Array.length b && equal_from 0 a b
+
+  let hash (a : t) =
+    let h = ref (Array.length a) in
+    for i = 0 to Array.length a - 1 do
+      h := (!h lxor a.(i)) * 0x100000001b3
+    done;
+    (!h lxor (!h lsr 32)) land max_int
+end)
 
 type abs_value = {
-  v_rel : Rel.t;
-  v_plus : Rel.t;
-  v_gap : Rel.t;
-  v_infix : Rel.t;
+  v_rels : int array;  (** rel, plus, gap, infix: [n] rows each *)
   v_witness : Word.t;
 }
 
-(* All abstraction values achievable by words of L(A), with witnesses. *)
+(* offset of a relation within a value (and a tracker state) *)
+let rel_offset (aq : aq2) kind =
+  let r = aq.n * aq.nw in
+  match kind with `Rel -> 0 | `Plus -> r | `Gap -> 2 * r | `Infix -> 3 * r
+
+(* All abstraction values achievable by words of L(A), with witnesses,
+   in the order the breadth-first search discovers them. *)
 let achievable_values ~max_tracker_states (aq : aq2) (lang : Regex.t) =
   let lnfa = Crpq.nfa lang in
-  let n = aq.n in
+  let n = aq.n and nw = aq.nw in
   let letters = Regex.alphabet lang in
-  let reach_final rel q =
-    List.exists (fun f -> Rel.get rel n q f) aq.finals
+  let r = n * nw in
+  let plus = r and gap = 2 * r and infix = 3 * r and sufrel = 4 * r in
+  let preffinal = 5 * r in
+  let lbits = preffinal + nw in
+  let len = lbits + Bits.words lnfa.Nfa.nstates + 1 in
+  let with_lset a lset =
+    List.iter (Bits.add a lbits) lset;
+    { lset; words = a }
   in
   let init_track =
-    {
-      lset = List.sort_uniq compare lnfa.Nfa.initials;
-      rel = Rel.identity n;
-      plus = Rel.create n;
-      gap = Rel.create n;
-      infix = Rel.create n;
-      preffinal = Bytes.make n '0';
-      sufrel = Rel.create n;
-      nonempty = false;
-    }
+    let a = Array.make len 0 in
+    for q = 0 to n - 1 do
+      Bits.add a (q * nw) q
+    done;
+    with_lset a (List.sort_uniq compare lnfa.Nfa.initials)
   in
   let step t letter =
-    match Hashtbl.find_opt aq.succs letter with
+    match Hashtbl.find_opt aq.letters letter with
     | None -> None
-    | Some succs ->
+    | Some lt ->
       let lset = Nfa.next_set lnfa t.lset letter in
       if lset = [] then None
       else begin
-        let img_init =
-          List.sort_uniq compare
-            (List.concat_map (fun i -> succs.(i)) aq.initials)
-        in
-        let rel' = Rel.compose t.rel n succs in
-        let reach_f = List.filter (reach_final t.rel) (List.init n (fun q -> q)) in
-        let plus' =
-          let base = Rel.compose t.plus n succs in
-          if t.nonempty then Rel.union base (Rel.of_product n reach_f img_init)
-          else base
-        in
-        let gap' =
-          let base = Rel.compose t.gap n succs in
-          let from_pref =
-            List.filter (fun q -> Bytes.get t.preffinal q = '1') (List.init n (fun q -> q))
-          in
-          Rel.union base (Rel.of_product n from_pref img_init)
-        in
-        let preffinal' =
-          let b = Bytes.copy t.preffinal in
-          if t.nonempty then List.iter (fun q -> Bytes.set b q '1') reach_f;
-          b
-        in
-        let delta_rel =
-          let r = Rel.create n in
-          Array.iteri (fun q qs -> List.iter (fun q' -> Rel.set r n q q') qs) succs;
-          r
-        in
-        let sufrel' =
-          let base = Rel.compose t.sufrel n succs in
-          if t.nonempty then Rel.union base delta_rel else base
-        in
-        let infix' = Rel.union t.infix t.sufrel in
-        Some
-          {
-            lset;
-            rel = rel';
-            plus = plus';
-            gap = gap';
-            infix = infix';
-            preffinal = preffinal';
-            sufrel = sufrel';
-            nonempty = true;
-          }
+        let a = t.words in
+        let b = Array.make len 0 in
+        compose aq lt a 0 b 0;
+        compose aq lt a plus b plus;
+        compose aq lt a gap b gap;
+        compose aq lt a sufrel b sufrel;
+        (* infix' = infix ∪ sufrel *)
+        Array.blit a infix b infix r;
+        Bits.or_into ~nw:r a sufrel b infix;
+        (* gap' ∪= preffinal × img_init *)
+        for q = 0 to n - 1 do
+          if Bits.mem a preffinal q then Bits.or_into ~nw lt.img_init 0 b (gap + (q * nw))
+        done;
+        Array.blit a preffinal b preffinal nw;
+        if a.(len - 1) <> 0 then begin
+          (* for every q whose rel row reaches a final state:
+             plus' ∪= {q} × img_init and preffinal' ∋ q *)
+          for q = 0 to n - 1 do
+            if Bits.intersects ~nw a (q * nw) aq.finals 0 then begin
+              Bits.or_into ~nw lt.img_init 0 b (plus + (q * nw));
+              Bits.add b preffinal q
+            end
+          done;
+          (* sufrel' ∪= Δa *)
+          Bits.or_into ~nw:r lt.delta 0 b sufrel
+        end;
+        b.(len - 1) <- 1;
+        Some (with_lset b lset)
       end
   in
-  let seen = Hashtbl.create 1024 in
-  let values : (string, abs_value) Hashtbl.t = Hashtbl.create 64 in
+  let seen = Words.create 1024 in
+  let values = Words.create 64 in
+  let found = ref [] in
   let queue = Queue.create () in
-  Hashtbl.replace seen (track_key init_track) ();
+  Words.replace seen init_track.words ();
   Queue.add (init_track, []) queue;
   let explored = ref 0 in
   while not (Queue.is_empty queue) do
@@ -356,31 +410,25 @@ let achievable_values ~max_tracker_states (aq : aq2) (lang : Regex.t) =
            (Printf.sprintf "tracker exceeded %d states on language %s"
               max_tracker_states (Regex.to_string lang)));
     let t, rev_word = Queue.pop queue in
-    if t.nonempty && List.exists (Nfa.is_final lnfa) t.lset then begin
-      let key = value_key t in
-      if not (Hashtbl.mem values key) then
-        Hashtbl.replace values key
-          {
-            v_rel = t.rel;
-            v_plus = t.plus;
-            v_gap = t.gap;
-            v_infix = t.infix;
-            v_witness = List.rev rev_word;
-          }
+    if t.words.(len - 1) <> 0 && List.exists (Nfa.is_final lnfa) t.lset then begin
+      let key = Array.sub t.words 0 (4 * r) in
+      if not (Words.mem values key) then begin
+        Words.replace values key ();
+        found := { v_rels = key; v_witness = List.rev rev_word } :: !found
+      end
     end;
     List.iter
       (fun letter ->
         match step t letter with
         | None -> ()
         | Some t' ->
-          let key = track_key t' in
-          if not (Hashtbl.mem seen key) then begin
-            Hashtbl.replace seen key ();
+          if not (Words.mem seen t'.words) then begin
+            Words.replace seen t'.words ();
             Queue.add (t', letter :: rev_word) queue
           end)
       letters
   done;
-  Hashtbl.fold (fun _ v acc -> v :: acc) values []
+  List.rev !found
 
 (* ------------------------------------------------------------------ *)
 (* The tripled left-hand graph G                                       *)
@@ -673,60 +721,86 @@ let templates_of_type lhs (aq : aq2) (m : mtype) =
 (* Compatibility of a type with an abstraction                         *)
 (* ------------------------------------------------------------------ *)
 
-let compatible lhs (aq : aq2) (alpha : abs_value array) templates lam_domains =
-  ignore lhs;
-  let n = aq.n in
-  let lam_val = Array.make (max (List.length lam_domains) 1) (-1) in
-  let matrix ai = function
-    | `Rel -> alpha.(ai).v_rel
-    | `Plus -> alpha.(ai).v_plus
-    | `Gap -> alpha.(ai).v_gap
-    | `Infix -> alpha.(ai).v_infix
-  in
-  let init_states id =
-    let lo, hi = aq.ranges.(id) in
-    List.filter (fun q -> q >= lo && q < hi) aq.initials
-  in
-  let fin_states id =
-    let lo, hi = aq.ranges.(id) in
-    List.filter (fun q -> q >= lo && q < hi) aq.finals
-  in
-  let candidates = function
-    | Lam i -> if lam_val.(i) >= 0 then [ lam_val.(i) ] else []
-    | Init id -> init_states id
-    | Fin id -> fin_states id
-    | Any -> List.init n (fun q -> q)
-  in
-  let lam_ready = function
-    | Lam i -> lam_val.(i) >= 0
-    | Init _ | Fin _ | Any -> true
-  in
-  let template_ok t =
-    let m = matrix t.t_latom t.t_kind in
-    List.exists
-      (fun q1 -> List.exists (fun q2 -> Rel.get m n q1 q2) (candidates t.t_s2))
-      (candidates t.t_s1)
-  in
-  let check_ready () =
-    List.for_all
-      (fun t -> (not (lam_ready t.t_s1 && lam_ready t.t_s2)) || template_ok t)
-      templates
-  in
-  let rec assign = function
-    | [] -> check_ready ()
-    | (id, (lo, hi)) :: rest ->
-      let rec try_q q =
-        if q >= hi then false
-        else begin
-          lam_val.(id) <- q;
-          let ok = check_ready () && assign rest in
-          lam_val.(id) <- -1;
-          if ok then true else try_q (q + 1)
-        end
+(* A template with its state sets resolved against A_Q2, once per
+   morphism type: it holds when some [q1] of [c_s1] has a [c_kind] row
+   meeting [c_s2]. *)
+type check = {
+  c_latom : int;
+  c_off : int;  (** word offset of the relation within a value *)
+  c_s1 : [ `Lam of int | `States of int list ];
+  c_s2 : [ `Lam of int | `Mask of int array ];
+}
+
+type prepared = {
+  doms : (int * int * int) array;  (** (λ id, lo, hi) in assignment order *)
+  ready : check array array;
+      (** [ready.(k)]: the templates whose λ-variables are all among the
+          first [k] assigned (and not all among the first [k - 1]) *)
+}
+
+let prepare (aq : aq2) (templates, lam_domains) =
+  let doms = Array.of_list (List.map (fun (id, (lo, hi)) -> (id, lo, hi)) lam_domains) in
+  let pos = Array.make (Array.length doms) 0 in
+  Array.iteri (fun k (id, _, _) -> pos.(id) <- k + 1) doms;
+  let step = function Lam i -> pos.(i) | Init _ | Fin _ | Any -> 0 in
+  let ready = Array.make (Array.length doms + 1) [] in
+  List.iter
+    (fun t ->
+      let c =
+        {
+          c_latom = t.t_latom;
+          c_off = rel_offset aq t.t_kind;
+          c_s1 =
+            (match t.t_s1 with
+            | Lam i -> `Lam i
+            | Init id -> `States aq.atom_inits.(id)
+            | Fin id -> `States aq.atom_finals.(id)
+            | Any -> `States (List.init aq.n Fun.id));
+          c_s2 =
+            (match t.t_s2 with
+            | Lam i -> `Lam i
+            | Init id -> `Mask aq.atom_init_masks.(id)
+            | Fin id -> `Mask aq.atom_final_masks.(id)
+            | Any -> `Mask aq.all_states);
+        }
       in
-      try_q lo
+      let k = max (step t.t_s1) (step t.t_s2) in
+      ready.(k) <- c :: ready.(k))
+    templates;
+  { doms; ready = Array.map Array.of_list ready }
+
+(* Is some λ labelling compatible with [alpha]?  Each template is
+   checked once, as soon as its last λ-variable is assigned. *)
+let compatible (aq : aq2) (alpha : abs_value array) p =
+  let nw = aq.nw in
+  let lam_val = Array.make (Array.length p.doms) 0 in
+  let row_meets c m q1 =
+    let off = c.c_off + (q1 * nw) in
+    match c.c_s2 with
+    | `Lam i -> Bits.mem m off lam_val.(i)
+    | `Mask mask -> Bits.intersects ~nw m off mask 0
   in
-  assign lam_domains
+  let holds c =
+    let m = alpha.(c.c_latom).v_rels in
+    match c.c_s1 with
+    | `Lam i -> row_meets c m lam_val.(i)
+    | `States qs -> List.exists (row_meets c m) qs
+  in
+  let rec assign k =
+    Array.for_all holds p.ready.(k)
+    && (k = Array.length p.doms
+       ||
+       let id, lo, hi = p.doms.(k) in
+       let rec try_q q =
+         q < hi
+         && begin
+              lam_val.(id) <- q;
+              assign (k + 1) || try_q (q + 1)
+            end
+       in
+       try_q lo)
+  in
+  assign 0
 
 (* ------------------------------------------------------------------ *)
 (* Main decision procedure                                             *)
@@ -823,8 +897,7 @@ let decide_union_with_stats_impl ~max_tracker_states ~max_types
                       (Unsupported
                          (Printf.sprintf "more than %d morphism types" max_types));
                   match templates_of_type lhs aq m with
-                  | templates, lam_domains ->
-                    analyzed := (templates, lam_domains) :: !analyzed
+                  | analysis -> analyzed := prepare aq analysis :: !analyzed
                   | exception Incompatible_structure -> ()))
             rhs_disjuncts;
           let analyzed = !analyzed in
@@ -844,10 +917,7 @@ let decide_union_with_stats_impl ~max_tracker_states ~max_types
                   (Unsupported
                      (Printf.sprintf "more than %d abstractions" max_abstractions));
               let some_compatible =
-                List.exists
-                  (fun (templates, lam_domains) ->
-                    compatible lhs aq alpha templates lam_domains)
-                  analyzed
+                List.exists (compatible aq alpha) analyzed
               in
               if not some_compatible then begin
                 let words = Array.map (fun v -> v.v_witness) alpha in
@@ -888,6 +958,7 @@ let decide_union_with_stats_impl ~max_tracker_states ~max_types
       rhs_disjuncts = List.length rhs_disjuncts;
       abstractions_checked = !abstractions_checked;
       morphism_types = !morphism_types;
+      aq2_states = (match aq2_opt with Some aq -> aq.n | None -> 0);
     } )
 
 let decide_union_with_stats ?(max_tracker_states = 60000) ?(max_types = 50000)

@@ -27,6 +27,17 @@
       words then produce a concrete counterexample expansion, which is
       re-verified by direct evaluation before being returned.
 
+    Representation: a relation over the {m n} states of
+    {m \mathcal A_{Q_2}} is {m n} packed bit rows of
+    {m \lceil n/63 \rceil} native ints (on 64-bit platforms).  Per letter
+    {m a}, the decider builds once {m \Delta_a} as rows, a table of unions
+    of {m \Delta_a} rows per 9-bit chunk (so {m r \circ \Delta_a} is one
+    row OR per nonzero chunk of {m r}) and the image of the initial
+    states; per right atom, masks of its initial and final states.  A
+    tracker state is one word array, which is also its hash key, and the
+    achievable values of an atom come in breadth-first discovery order,
+    so each witness word is a shortest word for its value.
+
     The abstraction spaces are exponential in the query sizes (the
     algorithm is PSPACE; this implementation materializes the guessed
     objects), so the deciders take explosion caps and raise
@@ -54,6 +65,7 @@ type stats = {
   rhs_disjuncts : int;
   abstractions_checked : int;
   morphism_types : int;
+  aq2_states : int;  (** states of the completed {m \mathcal A_{Q_2}}; 0 without right atoms *)
 }
 
 (** Same as {!decide} but also reports search-space sizes. *)

@@ -377,6 +377,88 @@ let test_corpus () =
             corpus_pins.(i) (corpus_line pair))
         pairs)
 
+(* ------------------------------------------------------------------ *)
+(* Word boundaries of the packed rows                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A row of A_Q2 states spans several native ints once A_Q2 has more
+   states than an int has data bits (63 on 64-bit platforms, whose bit
+   62 is the sign bit).  The right atoms over a^k give a completed A_Q2
+   of k + 3 states: k in 59..62 straddles the first word boundary, k >=
+   124 the second.  Every verdict is checked against the expansion
+   search, which is exact on a finite left query. *)
+let test_word_boundaries () =
+  let a k = String.concat "" (List.init k (fun _ -> "a")) in
+  let cases k =
+    let p fmt = Printf.ksprintf Crpq.parse fmt in
+    let paths =
+      [
+        (true, p "Q(x, y) :- x -[%s]-> y" (a k), p "Q(x, y) :- x -[%s]-> y" (a k));
+        (false, p "Q(x, y) :- x -[%s]-> y" (a (k + 1)), p "Q(x, y) :- x -[%s]-> y" (a k));
+        ( true,
+          p "Q(x, z) :- x -[%s]-> y, y -[%s]-> z" (a 30) (a (k - 30)),
+          p "Q(x, z) :- x -[%s]-> z" (a k) );
+        ( false,
+          p "Q(x, z) :- x -[%s]-> y, y -[%s]-> z" (a 30) (a (k - 29)),
+          p "Q(x, z) :- x -[%s]-> z" (a k) );
+        (true, p "x -[%sb]-> y" (a k), p "x -[%s(a|b)]-> y" (a (k - 1)));
+        (true, p "Q(x, y) :- x -[%sa*]-> y" (a k), p "Q(x, y) :- x -[%sa+]-> y" (a (k - 1)));
+        (false, p "Q(x, y) :- x -[%sa*]-> y" (a (k - 1)), p "Q(x, y) :- x -[%sa*]-> y" (a k));
+      ]
+    in
+    (* a λ-variable at state j of the right atom *)
+    let lambdas =
+      List.concat_map
+        (fun j ->
+          [
+            ( true,
+              p "Q(x, z) :- x -[%s]-> y, y -[%s]-> z" (a j) (a (k - j)),
+              p "Q(x, z) :- x -[%s]-> z" (a k) );
+            ( false,
+              p "Q(x, z) :- x -[%s]-> y, y -[%s]-> z" (a j) (a (k - j + 1)),
+              p "Q(x, z) :- x -[%s]-> z" (a k) );
+          ])
+        (List.filter (fun j -> j < k) [ 61; 62; 63 ])
+    in
+    (* Boolean right queries embed anywhere (infix and gap relations);
+       evaluating them on long paths is slow, so only below 100 *)
+    let boolean =
+      [
+        (true, p "x -[%s]-> y" (a (k + 5)), p "u -[%s]-> v" (a k));
+        (false, p "x -[%s]-> y" (a (k - 1)), p "u -[%s]-> v" (a k));
+        (* the second right atom's states start at k - 1 *)
+        (true, p "x -[%scbb]-> y" (a (k - 2)), p "u -[%s]-> v, w -[bb]-> t" (a (k - 2)));
+        (false, p "x -[%sbb]-> y" (a (k - 2)), p "u -[%s]-> v, w -[bb]-> t" (a (k - 2)));
+        (false, p "x -[%scbb]-> y" (a (k - 3)), p "u -[%s]-> v, w -[bb]-> t" (a (k - 2)));
+      ]
+    in
+    paths @ lambdas @ if k < 100 then boolean else []
+  in
+  List.iter
+    (fun k ->
+      List.iteri
+        (fun i (expected, q1, q2) ->
+          let name = Printf.sprintf "k=%d case %d" k i in
+          let verdict, s = Containment_qinj.decide_with_stats q1 q2 in
+          check Alcotest.bool name expected (verdict = Containment_qinj.Qinj_contained);
+          let n = s.Containment_qinj.aq2_states in
+          if not (if k < 100 then n >= 62 && n <= 66 else n >= 127) then
+            Alcotest.failf "%s: A_Q2 has %d states" name n;
+          let oracle =
+            if Crpq.classify q1 = Crpq.Class_crpq then
+              Containment.bounded Semantics.Q_inj ~max_len:(k + 3) q1 q2
+            else Containment.finite_lhs Semantics.Q_inj q1 q2
+          in
+          match verdict, oracle with
+          | Containment_qinj.Qinj_contained, Containment.Not_contained _ ->
+            Alcotest.failf "%s: contained, but the expansion search refutes it" name
+          | Containment_qinj.Qinj_not_contained _, (Containment.Contained | Containment.Unknown _) ->
+            Alcotest.failf "%s: not contained, but the expansion search finds no witness" name
+          | Containment_qinj.Qinj_contained, (Containment.Contained | Containment.Unknown _)
+          | Containment_qinj.Qinj_not_contained _, Containment.Not_contained _ -> ())
+        (cases k))
+    [ 59; 60; 61; 62; 124; 126 ]
+
 let () =
   Alcotest.run "containment_qinj"
     [
@@ -392,7 +474,11 @@ let () =
           Alcotest.test_case "normalize_concat" `Quick test_normalize_concat;
           Alcotest.test_case "fuzz vs oracle" `Slow test_fuzz_vs_oracle;
         ] );
-      ("corpus", [ Alcotest.test_case "pinned verdicts and sizes" `Quick test_corpus ]);
+      ( "corpus",
+        [
+          Alcotest.test_case "pinned verdicts and sizes" `Quick test_corpus;
+          Alcotest.test_case "word boundaries" `Quick test_word_boundaries;
+        ] );
       ( "properties",
         [
           prop_normalize_preserves_semantics;

@@ -193,7 +193,8 @@ type aq2 = {
   atom_init_masks : int array array;  (** per atom id: the same as a row *)
   atom_finals : int list array;
   atom_final_masks : int array array;
-  all_states : int array;  (** one row: every state *)
+  states : int list;  (** every state *)
+  all_states : int array;  (** the same as a row *)
   letters : (Word.symbol, letter_tables) Hashtbl.t;
 }
 
@@ -268,6 +269,7 @@ let build_aq2 ~alphabet rhs_disjuncts =
         atom_init_masks = Array.map (Bits.of_list ~nw) atom_inits;
         atom_finals;
         atom_final_masks = Array.map (Bits.of_list ~nw) atom_finals;
+        states = List.init n Fun.id;
         all_states = Bits.of_list ~nw (List.init n Fun.id);
         letters;
       }
@@ -345,17 +347,19 @@ let achievable_values ~max_tracker_states (aq : aq2) (lang : Regex.t) =
   let preffinal = 5 * r in
   let lbits = preffinal + nw in
   let len = lbits + Bits.words lnfa.Nfa.nstates + 1 in
-  let with_lset a lset =
-    List.iter (Bits.add a lbits) lset;
-    { lset; words = a }
-  in
   let init_track =
     let a = Array.make len 0 in
     for q = 0 to n - 1 do
       Bits.add a (q * nw) q
     done;
-    with_lset a (List.sort_uniq compare lnfa.Nfa.initials)
+    let lset = List.sort_uniq compare lnfa.Nfa.initials in
+    List.iter (Bits.add a lbits) lset;
+    { lset; words = a }
   in
+  (* [step t letter] writes the successor of [t] on [letter] into [buf]
+     and returns its reached states, or [None] when it has none; only
+     successors not seen before are copied out of [buf] *)
+  let buf = Array.make len 0 in
   let step t letter =
     match Hashtbl.find_opt aq.letters letter with
     | None -> None
@@ -363,8 +367,8 @@ let achievable_values ~max_tracker_states (aq : aq2) (lang : Regex.t) =
       let lset = Nfa.next_set lnfa t.lset letter in
       if lset = [] then None
       else begin
-        let a = t.words in
-        let b = Array.make len 0 in
+        let a = t.words and b = buf in
+        Array.fill b 0 len 0;
         compose aq lt a 0 b 0;
         compose aq lt a plus b plus;
         compose aq lt a gap b gap;
@@ -389,8 +393,9 @@ let achievable_values ~max_tracker_states (aq : aq2) (lang : Regex.t) =
           (* sufrel' ∪= Δa *)
           Bits.or_into ~nw:r lt.delta 0 b sufrel
         end;
+        List.iter (Bits.add b lbits) lset;
         b.(len - 1) <- 1;
-        Some (with_lset b lset)
+        Some lset
       end
   in
   let seen = Words.create 1024 in
@@ -421,10 +426,11 @@ let achievable_values ~max_tracker_states (aq : aq2) (lang : Regex.t) =
       (fun letter ->
         match step t letter with
         | None -> ()
-        | Some t' ->
-          if not (Words.mem seen t'.words) then begin
-            Words.replace seen t'.words ();
-            Queue.add (t', letter :: rev_word) queue
+        | Some lset ->
+          if not (Words.mem seen buf) then begin
+            let words = Array.copy buf in
+            Words.replace seen words ();
+            Queue.add ({ lset; words }, letter :: rev_word) queue
           end)
       letters
   done;
@@ -542,23 +548,24 @@ let iter_morphism_types lhs (aq : aq2) ~lhs_free ~(d2 : Crpq.t) ~di f =
        after the Remark C.2 rewrite, distinct right-hand atoms always
        expand to distinct edges of E2, so their images cannot share an
        edge of G. *)
-    let used_edge : (int * int, unit) Hashtbl.t = Hashtbl.create 32 in
+    let used_edge = Array.make (lhs.nnodes * lhs.nnodes) false in
     let iter_paths s t k =
       let rec go u rev_nodes =
         List.iter
           (fun v ->
-            if not (Hashtbl.mem used_edge (u, v)) then begin
+            let e = (u * lhs.nnodes) + v in
+            if not used_edge.(e) then begin
               if v = t then begin
-                Hashtbl.add used_edge (u, v) ();
+                used_edge.(e) <- true;
                 k (v :: rev_nodes);
-                Hashtbl.remove used_edge (u, v)
+                used_edge.(e) <- false
               end
               else if not used.(v) then begin
-                Hashtbl.add used_edge (u, v) ();
+                used_edge.(e) <- true;
                 used.(v) <- true;
                 go v (v :: rev_nodes);
                 used.(v) <- false;
-                Hashtbl.remove used_edge (u, v)
+                used_edge.(e) <- false
               end
             end)
           lhs.gsucc.(u)
@@ -724,11 +731,15 @@ let templates_of_type lhs (aq : aq2) (m : mtype) =
 (* A template with its state sets resolved against A_Q2, once per
    morphism type: it holds when some [q1] of [c_s1] has a [c_kind] row
    meeting [c_s2]. *)
+type source = S_lam of int | S_states of int list
+
+type target = T_lam of int | T_mask of int array
+
 type check = {
   c_latom : int;
   c_off : int;  (** word offset of the relation within a value *)
-  c_s1 : [ `Lam of int | `States of int list ];
-  c_s2 : [ `Lam of int | `Mask of int array ];
+  c_s1 : source;
+  c_s2 : target;
 }
 
 type prepared = {
@@ -736,6 +747,7 @@ type prepared = {
   ready : check array array;
       (** [ready.(k)]: the templates whose λ-variables are all among the
           first [k] assigned (and not all among the first [k - 1]) *)
+  lam : int array;  (** the λ labelling under construction, by id *)
 }
 
 let prepare (aq : aq2) (templates, lam_domains) =
@@ -752,55 +764,63 @@ let prepare (aq : aq2) (templates, lam_domains) =
           c_off = rel_offset aq t.t_kind;
           c_s1 =
             (match t.t_s1 with
-            | Lam i -> `Lam i
-            | Init id -> `States aq.atom_inits.(id)
-            | Fin id -> `States aq.atom_finals.(id)
-            | Any -> `States (List.init aq.n Fun.id));
+            | Lam i -> S_lam i
+            | Init id -> S_states aq.atom_inits.(id)
+            | Fin id -> S_states aq.atom_finals.(id)
+            | Any -> S_states aq.states);
           c_s2 =
             (match t.t_s2 with
-            | Lam i -> `Lam i
-            | Init id -> `Mask aq.atom_init_masks.(id)
-            | Fin id -> `Mask aq.atom_final_masks.(id)
-            | Any -> `Mask aq.all_states);
+            | Lam i -> T_lam i
+            | Init id -> T_mask aq.atom_init_masks.(id)
+            | Fin id -> T_mask aq.atom_final_masks.(id)
+            | Any -> T_mask aq.all_states);
         }
       in
       let k = max (step t.t_s1) (step t.t_s2) in
       ready.(k) <- c :: ready.(k))
     templates;
-  { doms; ready = Array.map Array.of_list ready }
+  { doms; ready = Array.map Array.of_list ready; lam = Array.make (Array.length doms) 0 }
+
+(* Compatibility runs once per (abstraction, morphism type) pair, so its
+   helpers take everything as arguments rather than allocate closures. *)
+let row_meets ~nw lam (m : int array) c q1 =
+  let off = c.c_off + (q1 * nw) in
+  match c.c_s2 with
+  | T_lam i -> Bits.mem m off lam.(i)
+  | T_mask mask -> Bits.intersects ~nw m off mask 0
+
+let rec some_row_meets ~nw lam m c = function
+  | [] -> false
+  | q1 :: rest -> row_meets ~nw lam m c q1 || some_row_meets ~nw lam m c rest
+
+let holds ~nw lam (alpha : abs_value array) c =
+  let m = alpha.(c.c_latom).v_rels in
+  match c.c_s1 with
+  | S_lam i -> row_meets ~nw lam m c lam.(i)
+  | S_states qs -> some_row_meets ~nw lam m c qs
+
+let rec all_hold ~nw lam alpha checks i =
+  i = Array.length checks
+  || (holds ~nw lam alpha checks.(i) && all_hold ~nw lam alpha checks (i + 1))
 
 (* Is some λ labelling compatible with [alpha]?  Each template is
    checked once, as soon as its last λ-variable is assigned. *)
-let compatible (aq : aq2) (alpha : abs_value array) p =
-  let nw = aq.nw in
-  let lam_val = Array.make (Array.length p.doms) 0 in
-  let row_meets c m q1 =
-    let off = c.c_off + (q1 * nw) in
-    match c.c_s2 with
-    | `Lam i -> Bits.mem m off lam_val.(i)
-    | `Mask mask -> Bits.intersects ~nw m off mask 0
-  in
-  let holds c =
-    let m = alpha.(c.c_latom).v_rels in
-    match c.c_s1 with
-    | `Lam i -> row_meets c m lam_val.(i)
-    | `States qs -> List.exists (row_meets c m) qs
-  in
-  let rec assign k =
-    Array.for_all holds p.ready.(k)
-    && (k = Array.length p.doms
-       ||
-       let id, lo, hi = p.doms.(k) in
-       let rec try_q q =
-         q < hi
-         && begin
-              lam_val.(id) <- q;
-              assign (k + 1) || try_q (q + 1)
-            end
-       in
-       try_q lo)
-  in
-  assign 0
+let rec assign ~nw alpha p k =
+  all_hold ~nw p.lam alpha p.ready.(k) 0
+  && (k = Array.length p.doms
+     ||
+     let _, lo, _ = p.doms.(k) in
+     try_label ~nw alpha p k lo)
+
+and try_label ~nw alpha p k q =
+  let id, _, hi = p.doms.(k) in
+  q < hi
+  && begin
+       p.lam.(id) <- q;
+       assign ~nw alpha p (k + 1) || try_label ~nw alpha p k (q + 1)
+     end
+
+let compatible (aq : aq2) alpha p = assign ~nw:aq.nw alpha p 0
 
 (* ------------------------------------------------------------------ *)
 (* Main decision procedure                                             *)

@@ -318,10 +318,13 @@ module Words = Hashtbl.Make (struct
 
   let equal (a : t) (b : t) = Array.length a = Array.length b && equal_from 0 a b
 
+  (* the multiply carries bits upward only, so each word's high bits
+     (bit 62 included) are folded down before it *)
   let hash (a : t) =
     let h = ref (Array.length a) in
     for i = 0 to Array.length a - 1 do
-      h := (!h lxor a.(i)) * 0x100000001b3
+      let x = a.(i) in
+      h := (!h lxor x lxor (x lsr 29)) * 0x100000001b3
     done;
     (!h lxor (!h lsr 32)) land max_int
 end)

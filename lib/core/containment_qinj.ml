@@ -300,34 +300,83 @@ let compose (aq : aq2) lt src soff dst doff =
 (* Tracker: achievable abstraction values of a left atom               *)
 (* ------------------------------------------------------------------ *)
 
-(* A tracker state is one array of words, which is also its hash key:
-   the relations rel, plus, gap, infix and sufrel ([n] rows each, in
-   this order), the preffinal row, the reached states of the atom's own
-   NFA as a bit set, and a final nonempty flag.  A value is the prefix
-   holding rel, plus, gap and infix. *)
-type track = {
-  lset : int list;  (** reached states of the atom's own NFA *)
-  words : int array;
-}
+(* A tracker state is [len] words: the relations rel, plus, gap, infix
+   and sufrel ([n] rows each, in this order), the preffinal row, the
+   reached states of the atom's own NFA as a bit set, and a final
+   nonempty flag.  A value is the prefix holding rel, plus, gap and
+   infix. *)
+
+(* the multiply carries bits upward only, so each word's high bits
+   (bit 62 included) are folded down before it *)
+let hash_words a off len =
+  let h = ref len in
+  for i = off to off + len - 1 do
+    let x = a.(i) in
+    h := (!h lxor x lxor (x lsr 29)) * 0x100000001b3
+  done;
+  (!h lxor (!h lsr 32)) land max_int
+
+let rec equal_words a aoff b boff len =
+  len = 0 || (a.(aoff) = b.(boff) && equal_words a (aoff + 1) b (boff + 1) (len - 1))
 
 module Words = Hashtbl.Make (struct
   type t = int array
 
-  let rec equal_from i (a : t) (b : t) =
-    i = Array.length a || (a.(i) = b.(i) && equal_from (i + 1) a b)
+  let equal a b = Array.length a = Array.length b && equal_words a 0 b 0 (Array.length a)
 
-  let equal (a : t) (b : t) = Array.length a = Array.length b && equal_from 0 a b
-
-  (* the multiply carries bits upward only, so each word's high bits
-     (bit 62 included) are folded down before it *)
-  let hash (a : t) =
-    let h = ref (Array.length a) in
-    for i = 0 to Array.length a - 1 do
-      let x = a.(i) in
-      h := (!h lxor x lxor (x lsr 29)) * 0x100000001b3
-    done;
-    (!h lxor (!h lsr 32)) land max_int
+  let hash a = hash_words a 0 (Array.length a)
 end)
+
+(* The states a tracker has found, in discovery order, [len] words each
+   in one growing arena, with an open-addressing index over them.  The
+   breadth-first queue is the part of the arena past the state being
+   expanded, and a witness is read back through [parent]/[letter]. *)
+type states = {
+  len : int;
+  mutable arena : int array;
+  mutable count : int;
+  mutable parent : int array;  (** the state each was reached from *)
+  mutable letter : Word.symbol array;  (** the letter it was reached by *)
+  mutable slots : int array;  (** 0: empty; [i + 1]: state [i]; a power of two *)
+}
+
+(* the slot holding the state [a.(off ..)], or the empty slot for it *)
+let rec probe st a off s =
+  let i = st.slots.(s) in
+  if i = 0 || equal_words st.arena ((i - 1) * st.len) a off st.len then s
+  else probe st a off ((s + 1) land (Array.length st.slots - 1))
+
+let slot_of st a off =
+  probe st a off (hash_words a off st.len land (Array.length st.slots - 1))
+
+(* doubles the room for states *)
+let grow st =
+  st.arena <- Array.append st.arena (Array.make (st.count * st.len) 0);
+  st.parent <- Array.append st.parent (Array.make st.count 0);
+  st.letter <- Array.append st.letter (Array.make st.count "")
+
+let rehash st =
+  st.slots <- Array.make (2 * Array.length st.slots) 0;
+  for i = 0 to st.count - 1 do
+    st.slots.(slot_of st st.arena (i * st.len)) <- i + 1
+  done
+
+(* Adds the state in [buf] unless it is known; [true] when added. *)
+let add_state st buf ~parent ~letter =
+  let s = slot_of st buf 0 in
+  st.slots.(s) = 0
+  && begin
+       if st.count = Array.length st.parent then grow st;
+       Array.blit buf 0 st.arena (st.count * st.len) st.len;
+       st.parent.(st.count) <- parent;
+       st.letter.(st.count) <- letter;
+       st.count <- st.count + 1;
+       st.slots.(s) <- st.count;
+       if 2 * st.count > Array.length st.slots then rehash st;
+       true
+     end
+
+let rec word_to st i acc = if i = 0 then acc else word_to st st.parent.(i) (st.letter.(i) :: acc)
 
 type abs_value = {
   v_rels : int array;  (** rel, plus, gap, infix: [n] rows each *)
@@ -350,92 +399,92 @@ let achievable_values ~max_tracker_states (aq : aq2) (lang : Regex.t) =
   let preffinal = 5 * r in
   let lbits = preffinal + nw in
   let len = lbits + Bits.words lnfa.Nfa.nstates + 1 in
-  let init_track =
-    let a = Array.make len 0 in
-    for q = 0 to n - 1 do
-      Bits.add a (q * nw) q
-    done;
-    let lset = List.sort_uniq compare lnfa.Nfa.initials in
-    List.iter (Bits.add a lbits) lset;
-    { lset; words = a }
-  in
-  (* [step t letter] writes the successor of [t] on [letter] into [buf]
-     and returns its reached states, or [None] when it has none; only
-     successors not seen before are copied out of [buf] *)
+  let lstates = List.init lnfa.Nfa.nstates Fun.id in
+  let lset_of a off = List.filter (fun q -> Bits.mem a (off + lbits) q) lstates in
+  (* [step a off lset letter] writes into [buf] the successor on
+     [letter] of the state at [a.(off ..)], whose reached states are
+     [lset]; [false] when the successor reaches no state *)
   let buf = Array.make len 0 in
-  let step t letter =
+  let step a off lset letter =
     match Hashtbl.find_opt aq.letters letter with
-    | None -> None
+    | None -> false
     | Some lt ->
-      let lset = Nfa.next_set lnfa t.lset letter in
-      if lset = [] then None
-      else begin
-        let a = t.words and b = buf in
-        Array.fill b 0 len 0;
-        compose aq lt a 0 b 0;
-        compose aq lt a plus b plus;
-        compose aq lt a gap b gap;
-        compose aq lt a sufrel b sufrel;
-        (* infix' = infix ∪ sufrel *)
-        Array.blit a infix b infix r;
-        Bits.or_into ~nw:r a sufrel b infix;
-        (* gap' ∪= preffinal × img_init *)
-        for q = 0 to n - 1 do
-          if Bits.mem a preffinal q then Bits.or_into ~nw lt.img_init 0 b (gap + (q * nw))
-        done;
-        Array.blit a preffinal b preffinal nw;
-        if a.(len - 1) <> 0 then begin
-          (* for every q whose rel row reaches a final state:
-             plus' ∪= {q} × img_init and preffinal' ∋ q *)
-          for q = 0 to n - 1 do
-            if Bits.intersects ~nw a (q * nw) aq.finals 0 then begin
-              Bits.or_into ~nw lt.img_init 0 b (plus + (q * nw));
-              Bits.add b preffinal q
-            end
-          done;
-          (* sufrel' ∪= Δa *)
-          Bits.or_into ~nw:r lt.delta 0 b sufrel
-        end;
-        List.iter (Bits.add b lbits) lset;
-        b.(len - 1) <- 1;
-        Some lset
-      end
+      let lset = Nfa.next_set lnfa lset letter in
+      lset <> []
+      && begin
+           let b = buf in
+           Array.fill b 0 len 0;
+           compose aq lt a off b 0;
+           compose aq lt a (off + plus) b plus;
+           compose aq lt a (off + gap) b gap;
+           compose aq lt a (off + sufrel) b sufrel;
+           (* infix' = infix ∪ sufrel *)
+           Array.blit a (off + infix) b infix r;
+           Bits.or_into ~nw:r a (off + sufrel) b infix;
+           (* gap' ∪= preffinal × img_init *)
+           for q = 0 to n - 1 do
+             if Bits.mem a (off + preffinal) q then
+               Bits.or_into ~nw lt.img_init 0 b (gap + (q * nw))
+           done;
+           Array.blit a (off + preffinal) b preffinal nw;
+           if a.(off + len - 1) <> 0 then begin
+             (* for every q whose rel row reaches a final state:
+                plus' ∪= {q} × img_init and preffinal' ∋ q *)
+             for q = 0 to n - 1 do
+               if Bits.intersects ~nw a (off + (q * nw)) aq.finals 0 then begin
+                 Bits.or_into ~nw lt.img_init 0 b (plus + (q * nw));
+                 Bits.add b preffinal q
+               end
+             done;
+             (* sufrel' ∪= Δa *)
+             Bits.or_into ~nw:r lt.delta 0 b sufrel
+           end;
+           List.iter (Bits.add b lbits) lset;
+           b.(len - 1) <- 1;
+           true
+         end
   in
-  let seen = Words.create 1024 in
+  let st =
+    {
+      len;
+      arena = Array.make (16 * len) 0;
+      count = 0;
+      parent = Array.make 16 0;
+      letter = Array.make 16 "";
+      slots = Array.make 32 0;
+    }
+  in
+  for q = 0 to n - 1 do
+    Bits.add buf (q * nw) q
+  done;
+  List.iter (Bits.add buf lbits) lnfa.Nfa.initials;
+  ignore (add_state st buf ~parent:0 ~letter:"");
   let values = Words.create 64 in
   let found = ref [] in
-  let queue = Queue.create () in
-  Words.replace seen init_track.words ();
-  Queue.add (init_track, []) queue;
-  let explored = ref 0 in
-  while not (Queue.is_empty queue) do
+  let i = ref 0 in
+  while !i < st.count do
     Guard.checkpoint "qinj.tracker";
-    incr explored;
     Obs.Metrics.incr m_abstraction_states;
-    if !explored > max_tracker_states then
+    if !i >= max_tracker_states then
       raise
         (Unsupported
            (Printf.sprintf "tracker exceeded %d states on language %s"
               max_tracker_states (Regex.to_string lang)));
-    let t, rev_word = Queue.pop queue in
-    if t.words.(len - 1) <> 0 && List.exists (Nfa.is_final lnfa) t.lset then begin
-      let key = Array.sub t.words 0 (4 * r) in
+    let off = !i * len in
+    let lset = lset_of st.arena off in
+    if st.arena.(off + len - 1) <> 0 && List.exists (Nfa.is_final lnfa) lset then begin
+      let key = Array.sub st.arena off (4 * r) in
       if not (Words.mem values key) then begin
         Words.replace values key ();
-        found := { v_rels = key; v_witness = List.rev rev_word } :: !found
+        found := { v_rels = key; v_witness = word_to st !i [] } :: !found
       end
     end;
     List.iter
       (fun letter ->
-        match step t letter with
-        | None -> ()
-        | Some lset ->
-          if not (Words.mem seen buf) then begin
-            let words = Array.copy buf in
-            Words.replace seen words ();
-            Queue.add ({ lset; words }, letter :: rev_word) queue
-          end)
-      letters
+        if step st.arena off lset letter then
+          ignore (add_state st buf ~parent:!i ~letter))
+      letters;
+    incr i
   done;
   List.rev !found
 

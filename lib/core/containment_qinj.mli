@@ -33,10 +33,11 @@
     {m a}, the decider builds once {m \Delta_a} as rows, a table of unions
     of {m \Delta_a} rows per 9-bit chunk (so {m r \circ \Delta_a} is one
     row OR per nonzero chunk of {m r}) and the image of the initial
-    states; per right atom, masks of its initial and final states.  A
-    tracker state is one word array, which is also its hash key, and the
-    achievable values of an atom come in breadth-first discovery order,
-    so each witness word is a shortest word for its value.
+    states; per right atom, masks of its initial and final states.  The
+    tracker keeps its states as runs of words in one arena, in discovery
+    order, with an open-addressing index over them, and the achievable
+    values of an atom come in that breadth-first order, so each witness
+    word is a shortest word for its value.
 
     The abstraction spaces are exponential in the query sizes (the
     algorithm is PSPACE; this implementation materializes the guessed

@@ -253,6 +253,7 @@ let build_aq2 ~alphabet rhs_disjuncts =
     let in_range id = List.filter (fun q -> q >= fst ranges.(id) && q < snd ranges.(id)) in
     let atom_inits = Array.mapi (fun id _ -> in_range id initials) atoms in
     let atom_finals = Array.mapi (fun id _ -> in_range id finals) atoms in
+    let states = List.init n Fun.id in
     let letters = Hashtbl.create 16 in
     List.iter
       (fun letter ->
@@ -269,8 +270,8 @@ let build_aq2 ~alphabet rhs_disjuncts =
         atom_init_masks = Array.map (Bits.of_list ~nw) atom_inits;
         atom_finals;
         atom_final_masks = Array.map (Bits.of_list ~nw) atom_finals;
-        states = List.init n Fun.id;
-        all_states = Bits.of_list ~nw (List.init n Fun.id);
+        states;
+        all_states = Bits.of_list ~nw states;
         letters;
       }
   end

@@ -61,6 +61,10 @@ let usage_error msg =
   Format.eprintf "injcrpq: E900 error [cli]: %s@." msg;
   exit 2
 
+(* Word-length bounds: no word is shorter than 0. *)
+let check_bound flag n =
+  if n < 0 then usage_error (Printf.sprintf "%s must be non-negative (got %d)" flag n)
+
 (* [--stats], [--trace FILE], [--chrome FILE], [--log FILE],
    [--expo FILE] and [--profile FILE] are accepted by every subcommand.
    The reports are emitted from an [at_exit] hook because several
@@ -464,6 +468,7 @@ let eval_cmd =
 
 let contain_cmd =
   let run () () guard () () sem lhs rhs instance bound json =
+    check_bound "--bound" bound;
     let q1, q2 =
       match instance, lhs, rhs with
       | None, Some q1, Some q2 -> (q1, q2)
@@ -487,35 +492,14 @@ let contain_cmd =
     let verdict_json v =
       let base =
         [
-          ( "verdict",
-            Obs.Json.String
-              (match v with
-              | Containment.Contained -> "contained"
-              | Containment.Not_contained _ -> "not-contained"
-              | Containment.Unknown _ -> "unknown") );
+          ("verdict", Obs.Json.String (Containment.verdict_name v));
           ("semantics", Obs.Json.String (Semantics.to_string sem));
           ("strategy", Obs.Json.String (Containment.strategy_name sem q1 q2));
         ]
       in
       let extra =
         match v with
-        | Containment.Unknown r ->
-          let kind =
-            match r with
-            | Containment.Resource_exhausted trip ->
-              Guard.reason_kind trip.Guard.reason
-            | Containment.Budget_exhausted _ -> "search-budget"
-            | Containment.Undecided _ -> "undecided"
-          in
-          [
-            ( "reason",
-              Obs.Json.Obj
-                [
-                  ("kind", Obs.Json.String kind);
-                  ( "detail",
-                    Obs.Json.String (Containment.reason_to_string r) );
-                ] );
-          ]
+        | Containment.Unknown r -> [ ("reason", Containment.reason_to_json r) ]
         | Containment.Not_contained w ->
           [
             ( "counterexample",
@@ -577,6 +561,7 @@ let contain_cmd =
 
 let expand_cmd =
   let run () () guard q max_len ainj =
+    check_bound "--max-len" max_len;
     governed guard (fun () ->
         let es =
           if ainj then Expansion.ainj_expansions ~max_len q
@@ -690,6 +675,7 @@ let minimize_cmd =
 
 let equiv_cmd =
   let run () () guard sem q1 q2 bound =
+    check_bound "--bound" bound;
     governed guard @@ fun () ->
     match Minimize.equivalent ~bound sem q1 q2 with
     | Some b -> Format.printf "%b@." b
@@ -737,6 +723,7 @@ let gather_queries ~cmd queries file =
 let lint_cmd =
   let run () () guard sem queries file json no_redundancy no_nfa no_shape bound
       graph_file explain =
+    check_bound "--bound" bound;
     governed guard @@ fun () ->
     match explain with
     | Some code -> (
@@ -851,6 +838,7 @@ let lint_cmd =
 
 let optimize_cmd =
   let run () () guard () sem queries file json dry_run bound =
+    check_bound "--bound" bound;
     governed guard @@ fun () ->
     let named_queries = gather_queries ~cmd:"optimize" queries file in
     let results =
@@ -942,6 +930,7 @@ let optimize_cmd =
    subcommand, with the report on stdout instead of the verdict. *)
 let explain_cmd =
   let run () () guard () sem query graph_file lhs rhs bound json =
+    check_bound "--bound" bound;
     explain_enable ();
     let before = Obs.Metrics.snapshot () in
     let finish ~title extra =

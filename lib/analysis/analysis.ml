@@ -150,11 +150,6 @@ let lint_json results =
               (Diagnostic.list_to_json ds))
           results))
 
-let verdict_kind = function
-  | Containment.Contained -> "contained"
-  | Containment.Not_contained _ -> "not-contained"
-  | Containment.Unknown _ -> "unknown"
-
 let step_json (s : Rewrite.step) =
   Obs.Json.Obj
     [
@@ -169,7 +164,7 @@ let step_json (s : Rewrite.step) =
                  [
                    ("lhs", Obs.Json.String (Crpq.to_string c.Rewrite.lhs));
                    ("rhs", Obs.Json.String (Crpq.to_string c.Rewrite.rhs));
-                   ("verdict", Obs.Json.String (verdict_kind c.Rewrite.verdict));
+                   ("verdict", Obs.Json.String (Containment.verdict_name c.Rewrite.verdict));
                    ("wall_ns", Obs.Json.Int (Int64.to_int c.Rewrite.wall_ns));
                  ])
              s.Rewrite.checks) );

@@ -2,9 +2,9 @@
     transitions.
 
     {!Nfa.of_regex} trims unreachable states but keeps states that
-    cannot reach a final state, and the product/union constructions of
-    {!Nfa} and {!Lang_ops} reintroduce both kinds.  A dirty automaton
-    is semantically fine but wastes work in every downstream product
+    cannot reach a final state; {!Nfa.complete} adds a dead sink and
+    {!Nfa.co_complete} an unreachable source.  A dirty automaton is
+    semantically fine but wastes work in every downstream product
     ({!Lang_ops} state elimination, path search, containment); these
     diagnostics report what {!Nfa.trim} would remove.
 

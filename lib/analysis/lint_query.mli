@@ -38,6 +38,11 @@ val eps_only_atoms : Crpq.t -> Diagnostic.t list
     [A_edge_inj], info under [Q_inj] / [Q_edge_inj]. *)
 val duplicate_atoms : sem:Semantics.t -> Crpq.t -> Diagnostic.t list
 
+(** [reachable_from q seeds] is the set of variables reachable from
+    [seeds] in the undirected atom graph of [q] (languages ignored),
+    seeds included. *)
+val reachable_from : Crpq.t -> Crpq.var list -> (Crpq.var, unit) Hashtbl.t
+
 val disconnected_vars : Crpq.t -> Diagnostic.t list
 
 val unused_free_vars : Crpq.t -> Diagnostic.t list

@@ -19,24 +19,7 @@ let connected ~what (q : Crpq.t) =
   match Crpq.vars q with
   | [] -> []
   | first :: _ as vars ->
-    let adj = Hashtbl.create 16 in
-    let add x y =
-      let cur = Option.value ~default:[] (Hashtbl.find_opt adj x) in
-      Hashtbl.replace adj x (y :: cur)
-    in
-    List.iter
-      (fun (a : Crpq.atom) ->
-        add a.Crpq.src a.Crpq.dst;
-        add a.Crpq.dst a.Crpq.src)
-      q.Crpq.atoms;
-    let seen = Hashtbl.create 16 in
-    let rec go x =
-      if not (Hashtbl.mem seen x) then begin
-        Hashtbl.add seen x ();
-        List.iter go (Option.value ~default:[] (Hashtbl.find_opt adj x))
-      end
-    in
-    go first;
+    let seen = Lint_query.reachable_from q [ first ] in
     List.filter_map
       (fun x ->
         if Hashtbl.mem seen x then None

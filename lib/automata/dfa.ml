@@ -6,7 +6,13 @@ type t = {
   next : int array array;
 }
 
-let of_nfa_uncached alpha nfa =
+let of_nfa ?alphabet nfa =
+  let alpha =
+    Array.of_list
+      (match alphabet with
+      | Some a -> List.sort_uniq String.compare a
+      | None -> Nfa.alphabet nfa)
+  in
   (* canonical key of a state set *)
   let key s = String.concat "," (List.map string_of_int s) in
   let table = Hashtbl.create 64 in
@@ -55,28 +61,6 @@ let of_nfa_uncached alpha nfa =
     (fun (id, s) -> finals.(id) <- List.exists (Nfa.is_final nfa) s)
     !states;
   { alphabet = alpha; nstates = n; start; finals; next }
-
-(* Subset construction is the dominant cost of the inclusion checks; the
-   memo keys on the hash-consed NFA id plus the (sorted) alphabet the
-   determinization runs over.  The wrapper checkpoint keeps the legacy
-   "dfa.determinize" guard site firing on cache hits. *)
-module Det_memo = Cache.Memo (struct
-  type t = string list * int
-
-  let equal = ( = )
-  let hash = Hashtbl.hash
-end)
-
-let det_memo = Det_memo.create ~cap:512 ~site:"dfa.determinize" "dfa.determinize"
-
-let of_nfa ?alphabet nfa =
-  let alpha =
-    match alphabet with
-    | Some a -> List.sort_uniq String.compare a
-    | None -> Nfa.alphabet nfa
-  in
-  Det_memo.find_or_add det_memo (alpha, Nfa.key nfa) (fun () ->
-      of_nfa_uncached (Array.of_list alpha) nfa)
 
 let sym_index d x =
   let rec go i =
@@ -206,23 +190,11 @@ let minimize d =
   done;
   { alphabet = d.alphabet; nstates = n; start = cls.(d.start); finals; next }
 
-module Incl_memo = Cache.Memo (struct
-  type t = int * int
-
-  let equal = ( = )
-  let hash = Hashtbl.hash
-end)
-
-let incl_memo = Incl_memo.create ~cap:1024 "dfa.included"
-
 let included a b =
-  Incl_memo.find_or_add incl_memo (Nfa.key a, Nfa.key b) (fun () ->
-      let alpha =
-        List.sort_uniq String.compare (Nfa.alphabet a @ Nfa.alphabet b)
-      in
-      let da = of_nfa ~alphabet:alpha a in
-      let db = of_nfa ~alphabet:alpha b in
-      is_empty (intersect da (complement db)))
+  let alpha = List.sort_uniq String.compare (Nfa.alphabet a @ Nfa.alphabet b) in
+  let da = of_nfa ~alphabet:alpha a in
+  let db = of_nfa ~alphabet:alpha b in
+  is_empty (intersect da (complement db))
 
 let equivalent a b = included a b && included b a
 

@@ -1,6 +1,6 @@
 (* Brzozowski–McCluskey state elimination over a generalized NFA whose
    transitions carry regular expressions. *)
-let of_nfa_uncached (a : Nfa.t) =
+let of_nfa (a : Nfa.t) =
   let a = Nfa.trim a in
   if a.Nfa.nstates = 0 || a.Nfa.initials = [] then Regex.empty
   else begin
@@ -33,20 +33,6 @@ let of_nfa_uncached (a : Nfa.t) =
     edge.(start).(finish)
   end
 
-(* State elimination is cubic in the state count and recurs on the same
-   product automata during iterated language algebra. *)
-module Nfa_memo = Cache.Memo (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash = Hashtbl.hash
-end)
-
-let of_nfa_memo = Nfa_memo.create ~cap:256 "lang_ops.of_nfa"
-
-let of_nfa (a : Nfa.t) =
-  Nfa_memo.find_or_add of_nfa_memo (Nfa.key a) (fun () -> of_nfa_uncached a)
-
 let nfa_of_dfa (d : Dfa.t) =
   let delta =
     Array.init d.Dfa.nstates (fun q ->
@@ -58,41 +44,3 @@ let nfa_of_dfa (d : Dfa.t) =
     finals = d.Dfa.finals;
     delta;
   }
-
-module Re_pair_memo = Cache.Memo (struct
-  type t = Regex.t * Regex.t
-
-  let equal = ( = )
-  let hash = Hashtbl.hash
-end)
-
-let intersect_memo = Re_pair_memo.create ~cap:256 "lang_ops.intersect"
-
-let intersect r s =
-  Re_pair_memo.find_or_add intersect_memo (r, s) (fun () ->
-      of_nfa (Nfa.product (Nfa.of_regex r) (Nfa.of_regex s)))
-
-let complement ~alphabet r =
-  let alphabet = List.sort_uniq String.compare (alphabet @ Regex.alphabet r) in
-  let d = Dfa.of_nfa ~alphabet (Nfa.of_regex r) in
-  of_nfa (nfa_of_dfa (Dfa.minimize (Dfa.complement d)))
-
-let difference r s =
-  let alphabet =
-    List.sort_uniq String.compare (Regex.alphabet r @ Regex.alphabet s)
-  in
-  if alphabet = [] then if Regex.nullable r && not (Regex.nullable s) then Regex.eps else Regex.empty
-  else begin
-    let d1 = Dfa.of_nfa ~alphabet (Nfa.of_regex r) in
-    let d2 = Dfa.of_nfa ~alphabet (Nfa.of_regex s) in
-    of_nfa (nfa_of_dfa (Dfa.minimize (Dfa.intersect d1 (Dfa.complement d2))))
-  end
-
-let restrict_min_length r n =
-  let alphabet = Regex.alphabet r in
-  if alphabet = [] then if n = 0 then r else Regex.empty
-  else begin
-    let sigma = Regex.alt_list (List.map Regex.sym alphabet) in
-    let rec at_least k = if k = 0 then Regex.star sigma else Regex.seq sigma (at_least (k - 1)) in
-    intersect r (at_least n)
-  end

@@ -1,30 +1,14 @@
-(** Regular-language operations closed over {!Regex.t}.
+(** Conversions between automata and {!Regex.t}.
 
-    Intersection, complement and difference are not regex constructors;
-    these functions compute them through automata (product / subset
-    construction) and convert back with Brzozowski–McCluskey state
-    elimination.  They let CRPQ rewritings stay inside the regex-based
-    atom representation (e.g. "this language minus those words"). *)
+    {!Minimize.prune_languages} and {!Containment_f7} build automata
+    (a minimized DFA, a complemented DFA) and need them back as an NFA
+    or as a regular expression; these are the two conversions. *)
 
-(** [of_nfa a] is a regular expression denoting {m L(a)} (state
-    elimination; the result can be large but is exact). *)
+(** [of_nfa a] is a regular expression denoting {m L(a)}
+    (Brzozowski–McCluskey state elimination; the result can be large
+    but is exact). *)
 val of_nfa : Nfa.t -> Regex.t
 
 (** View a DFA as an NFA (e.g. to feed a minimized DFA back into
     {!of_nfa}). *)
 val nfa_of_dfa : Dfa.t -> Nfa.t
-
-(** [intersect r s] denotes {m L(r) \cap L(s)}. *)
-val intersect : Regex.t -> Regex.t -> Regex.t
-
-(** [complement ~alphabet r] denotes {m \Sigma^* \setminus L(r)} over the
-    given alphabet. *)
-val complement : alphabet:Word.symbol list -> Regex.t -> Regex.t
-
-(** [difference r s] denotes {m L(r) \setminus L(s)} (over the union of
-    both alphabets). *)
-val difference : Regex.t -> Regex.t -> Regex.t
-
-(** [restrict_min_length r n] denotes the words of {m L(r)} of length at
-    least [n]. *)
-val restrict_min_length : Regex.t -> int -> Regex.t

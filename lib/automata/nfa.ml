@@ -1,8 +1,6 @@
-(* Search telemetry (no-ops unless [Obs.Metrics] is enabled): the product
-   and emptiness constructions are where automata work grows with the
-   state space, so their sizes are the measurable quantity. *)
-let m_product_states = Obs.Metrics.counter "nfa.product_states"
-
+(* Search telemetry (no-op unless [Obs.Metrics] is enabled): the
+   emptiness search is where automata work grows with the state space,
+   so its size is the measurable quantity. *)
 let m_emptiness_states = Obs.Metrics.counter "nfa.emptiness_states"
 
 type state = int
@@ -157,23 +155,8 @@ let of_regex_uncached r =
   let finals = Array.init n (fun q -> closures.(q).(exit)) in
   trim_unreachable { nstates = n; initials = [ entry ]; finals; delta }
 
-(* ------------------------------------------------------------------ *)
-(* Hash-consing and memoization                                         *)
-(* ------------------------------------------------------------------ *)
-
 (* NFAs are plain immutable data (no caller mutates [finals]/[delta]),
-   so structurally equal automata are interchangeable: [key] interns
-   them and downstream memo tables key on the small ids. *)
-module Self_intern = Hashcons.Make (struct
-  type nonrec t = t
-
-  let equal = ( = )
-  let hash = Hashtbl.hash
-end)
-
-let interned = Self_intern.create ()
-let key a = Self_intern.id interned a
-
+   so the memo hands every caller the same shared automaton. *)
 module Regex_memo = Cache.Memo (struct
   type t = Regex.t
 
@@ -284,48 +267,6 @@ let enumerate ~max_len a =
     if c <> 0 then c else Word.compare w1 w2
   in
   List.sort cmp (WS.elements !results)
-
-let product_uncached a b =
-  let n = a.nstates * b.nstates in
-  Obs.Metrics.add m_product_states n;
-  let code p q = (p * b.nstates) + q in
-  let delta = Array.make (max n 1) [] in
-  for p = 0 to a.nstates - 1 do
-    for q = 0 to b.nstates - 1 do
-      Guard.checkpoint "nfa.product";
-      let out = ref [] in
-      List.iter
-        (fun (x, p') ->
-          List.iter
-            (fun (y, q') -> if String.equal x y then out := (x, code p' q') :: !out)
-            b.delta.(q))
-        a.delta.(p);
-      delta.(code p q) <- dedup_sorted !out
-    done
-  done;
-  let finals = Array.make (max n 1) false in
-  for p = 0 to a.nstates - 1 do
-    for q = 0 to b.nstates - 1 do
-      finals.(code p q) <- a.finals.(p) && b.finals.(q)
-    done
-  done;
-  let initials =
-    List.concat_map (fun p -> List.map (fun q -> code p q) b.initials) a.initials
-  in
-  trim_unreachable { nstates = max n 1; initials; finals; delta = Array.sub delta 0 (max n 1) }
-
-module Pair_memo = Cache.Memo (struct
-  type t = int * int
-
-  let equal = ( = )
-  let hash = Hashtbl.hash
-end)
-
-let product_memo = Pair_memo.create ~cap:512 ~site:"nfa.product" "nfa.product"
-
-let product a b =
-  Pair_memo.find_or_add product_memo (key a, key b) (fun () ->
-      product_uncached a b)
 
 let union a b =
   let off = a.nstates in

@@ -3,7 +3,9 @@
     NFAs are the operational representation of CRPQ atom languages: path
     searches run the product of a graph with an NFA, and the containment
     algorithm of Theorem 5.1 works with the disjoint union {m A_{Q_2}} of
-    the NFAs of the right-hand query, made complete and co-complete. *)
+    the NFAs of the right-hand query, made complete and co-complete.
+    There is no NFA × NFA product: language inclusion goes through
+    {!Dfa}. *)
 
 type state = int
 
@@ -19,10 +21,6 @@ type t = {
     the regex (see {!Cache}): callers receive shared automata and must
     not mutate the [finals]/[delta] arrays. *)
 val of_regex : Regex.t -> t
-
-(** Hash-consing id: structurally equal automata map to the same small
-    integer, used as a cheap memo key by [Dfa] and [Lang_ops]. *)
-val key : t -> int
 
 (** All symbols labelling some transition. *)
 val alphabet : t -> Word.symbol list
@@ -47,9 +45,6 @@ val shortest_word : t -> Word.t option
 (** All accepted words of length at most [max_len], without duplicates,
     in length-lexicographic order. *)
 val enumerate : max_len:int -> t -> Word.t list
-
-(** Intersection by product. *)
-val product : t -> t -> t
 
 (** Disjoint union.  The states of the second automaton are shifted by
     [nstates] of the first. *)

@@ -208,8 +208,10 @@ end)
 let enum_memo = Enum_memo.create ~cap:512 ~site:"regex.enumerate" "regex.enumerate"
 
 let enumerate ~max_len r =
-  Enum_memo.find_or_add enum_memo (max_len, r) (fun () ->
-      enumerate_uncached ~max_len r)
+  if max_len < 0 then []
+  else
+    Enum_memo.find_or_add enum_memo (max_len, r) (fun () ->
+        enumerate_uncached ~max_len r)
 
 let words_of_finite r =
   if not (is_finite r) then

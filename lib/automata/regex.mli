@@ -87,7 +87,8 @@ val remove_eps : t -> t
 (** {1 Enumeration} *)
 
 (** [enumerate ~max_len r] lists all words of {m L(r)} of length at most
-    [max_len], in length-lexicographic order and without duplicates. *)
+    [max_len], in length-lexicographic order and without duplicates
+    ([[]] when [max_len < 0]). *)
 val enumerate : max_len:int -> t -> Word.t list
 
 (** [words_of_finite r] is the exact, finite language of [r].

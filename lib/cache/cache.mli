@@ -1,7 +1,12 @@
-(** Process-wide memoization layer for automata constructions.
+(** Process-wide memoization layer.
 
-    Every memo table made through {!Memo} shares one runtime switch
-    (default on, [INJCRPQ_CACHE=off|0|false] disables it), registers
+    Four tables use it, each one on a path the measured workloads hit
+    repeatedly: [nfa.of_regex] (the NFA of an atom language),
+    [regex.enumerate] (the short words of an atom language, for the
+    expansion searches), [bulk.adjacency] and [bulk.csr] (the per-graph
+    label matrices and CSR index).  Every memo table made through
+    {!Memo} shares one runtime switch (default on,
+    [INJCRPQ_CACHE=off|0|false] disables it), registers
     [cache.<name>.hits] / [.misses] / [.evictions] counters with
     {!Obs.Metrics}, and appears in the global {!clear_all} registry.
 
@@ -18,8 +23,7 @@ val set_enabled : bool -> unit
     switch does not clear existing entries (use {!clear_all}). *)
 
 val clear_all : unit -> unit
-(** Empty every memo table created through {!Memo} (ids from
-    {!Hashcons} tables are unaffected — they must stay stable). *)
+(** Empty every memo table created through {!Memo}. *)
 
 module Memo (K : Hashtbl.HashedType) : sig
   type 'a t

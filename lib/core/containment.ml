@@ -60,6 +60,21 @@ let reason_to_string = function
   | Resource_exhausted trip ->
     "resource exhausted: " ^ Guard.trip_to_string trip
 
+let verdict_name = function
+  | Contained -> "contained"
+  | Not_contained _ -> "not-contained"
+  | Unknown _ -> "unknown"
+
+let reason_to_json r =
+  let kind =
+    match r with
+    | Resource_exhausted trip -> Guard.reason_kind trip.Guard.reason
+    | Budget_exhausted _ -> "search-budget"
+    | Undecided _ -> "undecided"
+  in
+  Obs.Json.Obj
+    [ ("kind", Obs.Json.String kind); ("detail", Obs.Json.String (reason_to_string r)) ]
+
 let verdict_bool = function
   | Contained -> Some true
   | Not_contained _ -> Some false

@@ -63,6 +63,15 @@ val reason_to_string : reason -> string
 (** Canonical rendering used by {!pp_verdict} (and by {!Ucrpq.contained},
     so the two deciders report budget exhaustion identically). *)
 
+val verdict_name : verdict -> string
+(** ["contained"], ["not-contained"] or ["unknown"]: the verdict as the
+    JSON outputs (CLI, serve, optimizer reports) name it. *)
+
+val reason_to_json : reason -> Obs.Json.t
+(** [{"kind", "detail"}]: [kind] is the {!Guard.reason_kind} of a
+    resource trip, ["search-budget"] or ["undecided"]; [detail] is
+    {!reason_to_string}. *)
+
 val verdict_bool : verdict -> bool option
 (** [Some true] / [Some false] for exact verdicts, [None] for unknown. *)
 

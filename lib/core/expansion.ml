@@ -95,28 +95,10 @@ let cartesian lists =
         choices)
     lists [ [] ]
 
-let profiles_uncached ~max_len q =
+let profiles ~max_len q =
   let word_choices (a : Crpq.atom) = Regex.enumerate ~max_len a.Crpq.lang in
   let per_atom = List.map word_choices q.Crpq.atoms in
   List.map Array.of_list (cartesian per_atom)
-
-(* Both containment directions and every bound-increasing retry walk the
-   same (bound, query) profile spaces; [Crpq.make] keeps atoms sorted,
-   so the structural query value is a canonical memo key.  Cached lists
-   are shared — nothing downstream mutates a profile array. *)
-module Profiles_memo = Cache.Memo (struct
-  type t = int * Crpq.t
-
-  let equal = ( = )
-  let hash = Hashtbl.hash
-end)
-
-let profiles_memo =
-  Profiles_memo.create ~cap:128 ~site:"expansion.profiles" "expansion.profiles"
-
-let profiles ~max_len q =
-  Profiles_memo.find_or_add profiles_memo (max_len, q) (fun () ->
-      profiles_uncached ~max_len q)
 
 let expansions ~max_len q =
   List.map (expand_unchecked q) (profiles ~max_len q)

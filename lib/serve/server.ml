@@ -251,19 +251,6 @@ let parse_query what = function
     | Error e ->
       Error (Printf.sprintf "%s: %s" what (Crpq.string_of_parse_error e)))
 
-let containment_reason_fields r =
-  let kind =
-    match r with
-    | Containment.Resource_exhausted trip -> Guard.reason_kind trip.Guard.reason
-    | Containment.Budget_exhausted _ -> "search-budget"
-    | Containment.Undecided _ -> "undecided"
-  in
-  Obs.Json.Obj
-    [
-      ("kind", Obs.Json.String kind);
-      ("detail", Obs.Json.String (Containment.reason_to_string r));
-    ]
-
 (* the op body proper; runs inside the request guard, so every decider
    checkpoint below can trip (and the serve.worker site makes the
    serving layer itself chaos-injectable) *)
@@ -307,17 +294,18 @@ let exec t (req : Protocol.request) =
     | Error msg, _ | _, Error msg -> bad_request req msg
     | Ok q1, Ok q2 -> (
       let strategy = Containment.strategy_name req.sem q1 q2 in
-      let base verdict =
+      let v = Containment.decide ~bound:req.bound req.sem q1 q2 in
+      let base =
         [
-          ("verdict", Obs.Json.String verdict);
+          ("verdict", Obs.Json.String (Containment.verdict_name v));
           ("strategy", Obs.Json.String strategy);
         ]
       in
-      match Containment.decide ~bound:req.bound req.sem q1 q2 with
-      | Containment.Contained -> ok (base "contained")
+      match v with
+      | Containment.Contained -> ok base
       | Containment.Not_contained w ->
         ok
-          (base "not-contained"
+          (base
           @ [
               ( "counterexample",
                 Obs.Json.String
@@ -327,7 +315,7 @@ let exec t (req : Protocol.request) =
         (* the honest degraded verdict of the exit-code/Unknown contract:
            the decider ran out of budget or has no applicable procedure *)
         Protocol.response ~id:req.id ~op:req.op Protocol.Unknown
-          ~body:(base "unknown" @ [ ("reason", containment_reason_fields r) ])))
+          ~body:(base @ [ ("reason", Containment.reason_to_json r) ])))
   | Protocol.Lint -> (
     match parse_query "query" req.query with
     | Error msg -> bad_request req msg

@@ -291,20 +291,6 @@ let test_lru_eviction () =
     (L.find_opt l 3);
   Alcotest.(check int) "length at cap" 2 (L.length l)
 
-let test_hashcons_ids () =
-  let module H = Hashcons.Make (struct
-    type t = string list
-
-    let equal = ( = )
-    let hash = Hashtbl.hash
-  end) in
-  let t = H.create () in
-  let a = H.id t [ "a"; "b" ] in
-  let b = H.id t [ "c" ] in
-  Alcotest.(check bool) "distinct keys, distinct ids" true (a <> b);
-  Alcotest.(check int) "equal keys share an id" a (H.id t [ "a"; "b" ]);
-  Alcotest.(check int) "two interned keys" 2 (H.count t)
-
 let test_parmap_determinism () =
   let xs = List.init 100 (fun i -> i) in
   Alcotest.(check (list int))
@@ -340,12 +326,16 @@ let test_cache_hit_counters () =
   Obs.Metrics.set_enabled was_enabled;
   Cache.clear_all ();
   (* while chaos injection is armed the memo layer bypasses itself, so the
-     hit counter legitimately stays flat; the structural check still holds *)
-  if not (Guard.Chaos.active ()) then
+     hit counter legitimately stays flat and the two runs return equal
+     but distinct automata *)
+  if Guard.Chaos.active () then
+    Alcotest.(check bool) "same automaton" true (n1 = n2)
+  else begin
     Alcotest.(check bool)
       "memoized construction ticks the hit counter" true
       (Obs.Metrics.counter_value hits > before);
-  Alcotest.(check int) "same automaton" (Nfa.key n1) (Nfa.key n2)
+    Alcotest.(check bool) "one shared automaton" true (n1 == n2)
+  end
 
 let test_cache_off_recomputes () =
   Cache.clear_all ();
@@ -367,7 +357,6 @@ let () =
       ( "cache-units",
         [
           Alcotest.test_case "lru eviction order" `Quick test_lru_eviction;
-          Alcotest.test_case "hashcons ids" `Quick test_hashcons_ids;
           Alcotest.test_case "parmap determinism" `Quick
             test_parmap_determinism;
           Alcotest.test_case "parmap exception propagation" `Quick

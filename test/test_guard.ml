@@ -292,7 +292,6 @@ let site_workloads =
   [
     ( "regex.enumerate",
       fun () -> ignore (Regex.enumerate ~max_len:4 (Regex.parse "(a|b)*")) );
-    ("nfa.product", fun () -> ignore (Nfa.product (nfa "(ab)*") (nfa "(a|b)*")));
     ("dfa.determinize", fun () -> ignore (Dfa.of_nfa (nfa "(a|b)*a(a|b)")));
     ( "dfa.product",
       fun () ->

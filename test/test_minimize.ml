@@ -25,10 +25,24 @@ let prop_prune_preserves_language =
     (Testutil.gen_crpq ~max_atoms:2 ())
     (fun q ->
       let p = Minimize.prune_languages q in
-      List.for_all2
-        (fun (a : Crpq.atom) (b : Crpq.atom) ->
-          Dfa.regex_equivalent a.Crpq.lang b.Crpq.lang)
-        q.Crpq.atoms p.Crpq.atoms)
+      (* [Crpq.make] re-sorts the pruned atoms, so a pruned atom can
+         change position: pair each original atom with an unused pruned
+         atom on the same endpoints and an equivalent language *)
+      let same (a : Crpq.atom) (b : Crpq.atom) =
+        String.equal a.Crpq.src b.Crpq.src
+        && String.equal a.Crpq.dst b.Crpq.dst
+        && Dfa.regex_equivalent a.Crpq.lang b.Crpq.lang
+      in
+      let rec take a = function
+        | [] -> None
+        | b :: bs -> if same a b then Some bs else Option.map (List.cons b) (take a bs)
+      in
+      let rec pair_up pruned = function
+        | [] -> pruned = []
+        | a :: rest -> (
+          match take a pruned with None -> false | Some pruned -> pair_up pruned rest)
+      in
+      pair_up p.Crpq.atoms q.Crpq.atoms)
 
 let () =
   Alcotest.run "minimize"

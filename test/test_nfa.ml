@@ -12,15 +12,6 @@ let test_is_empty =
   Testutil.qtest "is_empty iff empty language" (Testutil.gen_regex ()) (fun r ->
       Nfa.is_empty (Nfa.of_regex r) = Regex.is_empty_lang r)
 
-let test_product =
-  Testutil.qtest ~count:120 "product recognizes the intersection"
-    QCheck2.Gen.(
-      triple (Testutil.gen_regex ~max_depth:2 ()) (Testutil.gen_regex ~max_depth:2 ())
-        (Testutil.gen_word ()))
-    (fun (r, s, w) ->
-      let p = Nfa.product (Nfa.of_regex r) (Nfa.of_regex s) in
-      Nfa.accepts p w = (Regex.matches r w && Regex.matches s w))
-
 let test_union =
   Testutil.qtest ~count:120 "union recognizes the union"
     QCheck2.Gen.(
@@ -117,7 +108,6 @@ let () =
           test_accepts_matches;
           test_accepts_eps;
           test_is_empty;
-          test_product;
           test_union;
           test_reverse;
           test_trim;

@@ -92,6 +92,15 @@ let test_is_finite () =
   check Alcotest.bool "(!a)* finite" true
     (Regex.is_finite (Regex.Star (Regex.Seq (Regex.Empty, Regex.Sym "a"))))
 
+let test_enumerate_negative_bound () =
+  (* no word has negative length, not even ε *)
+  List.iter
+    (fun r ->
+      check
+        (Alcotest.list (Alcotest.list Alcotest.string))
+        (r ^ " at -1") [] (Regex.enumerate ~max_len:(-1) (re r)))
+    [ "%"; "a?"; "a*"; "(ab)+" ]
+
 let test_words_of_finite () =
   let sorted = List.sort compare in
   check
@@ -140,6 +149,8 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
           Alcotest.test_case "is_finite" `Quick test_is_finite;
           Alcotest.test_case "words_of_finite" `Quick test_words_of_finite;
+          Alcotest.test_case "enumerate below length 0" `Quick
+            test_enumerate_negative_bound;
           Alcotest.test_case "smart constructors" `Quick test_smart_constructors;
           Alcotest.test_case "word language" `Quick test_word_language;
         ] );

@@ -134,7 +134,7 @@ let test_preprocessor_reentrancy () =
      recurse: certificates inside optimize call Containment.decide,
      which sees the busy flag and passes queries through *)
   Analysis.install_preprocessor ();
-  Fun.protect ~finally:Analysis.uninstall_preprocessor (fun () ->
+  Fun.protect ~finally:Testutil.install_env_preprocessor (fun () ->
       let q1 = q "Q(x, y) :- x -[a]-> y, x -[a|b]-> y" in
       let q2 = q "Q(x, y) :- x -[a]-> y" in
       Alcotest.(check bool) "decide terminates" true

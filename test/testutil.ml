@@ -7,7 +7,7 @@
 let install_env_preprocessor () =
   match Sys.getenv_opt "INJCRPQ_OPTIMIZE" with
   | Some ("on" | "1" | "true") -> Analysis.install_preprocessor ()
-  | _ -> Eval.set_preprocessor (fun _ q -> q)
+  | _ -> Analysis.uninstall_preprocessor ()
 
 let () = install_env_preprocessor ()
 

@@ -1381,9 +1381,10 @@ let bechamel_section () =
 let usage_error msg =
   Format.eprintf "bench: %s@." msg;
   Format.eprintf
-    "usage: main.exe [--quick] [--deadline-ms N] [--jobs N] [--output FILE] \
-     [--compare BASELINE.json] [--tolerance PCT] [--wall-tolerance PCT] \
-     [--profile-out FILE] [--chrome-out FILE] [experiment ...]@.";
+    "usage: main.exe [--quick] [--deadline-ms N] [--jobs N] [--bulk-block N] \
+     [--output FILE] [--compare BASELINE.json] [--tolerance PCT] \
+     [--wall-tolerance PCT] [--profile-out FILE] [--chrome-out FILE] \
+     [experiment ...]@.";
   exit 2
 
 let parse_args () =
@@ -1414,6 +1415,9 @@ let parse_args () =
     [
       ("--deadline-ms", int_value ~flag:"--deadline-ms" ~min:0 (( := ) deadline_ms));
       ("--jobs", int_value ~flag:"--jobs" ~min:1 Parmap.set_default_jobs);
+      ( "--bulk-block",
+        int_value ~flag:"--bulk-block" ~min:1 (fun b ->
+            Bulk_rpq.set_block_rows (Some b)) );
       ("--output", ( := ) output_file);
       ("--compare", fun v -> compare_file := Some v);
       ("--tolerance", pct_value ~flag:"--tolerance" (( := ) tolerance));

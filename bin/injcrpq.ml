@@ -248,50 +248,16 @@ let explain_term ~title =
 
 (* --------------------------- performance --------------------------- *)
 
-(* [--jobs], [--no-cache], [--bulk], [--bulk-sweep] and [--bulk-block]
-   are accepted by every subcommand: the first fans independent
+(* [--jobs] is accepted by every subcommand: it fans independent
    subproblems (expansion scans, per-atom products) across OCaml 5
-   domains, the second disables the automata memo tables (same effect
-   as INJCRPQ_CACHE=off), the third selects the bit-matrix bulk RPQ
-   engine for standard-semantics atom relations (same as INJCRPQ_BULK),
-   and the last two pick the per-sweep kernel (INJCRPQ_BULK_SWEEP) and
-   the source-tile size (INJCRPQ_BULK_BLOCK) of that engine. *)
-let perf_setup jobs no_cache bulk bulk_sweep bulk_block =
-  (match jobs with
+   domains. *)
+let perf_setup jobs =
+  match jobs with
   | Some n when n >= 1 -> Parmap.set_default_jobs n
   | Some n ->
-    Format.eprintf "injcrpq: E900 error [cli]: --jobs must be positive (got %d)@."
-      n;
+    Format.eprintf "injcrpq: E900 error [cli]: --jobs must be positive (got %d)@." n;
     exit 2
-  | None -> ());
-  if no_cache then Cache.set_enabled false;
-  (match bulk with
   | None -> ()
-  | Some s -> (
-    match Bulk_rpq.mode_of_string s with
-    | Some m -> Bulk_rpq.set_mode m
-    | None ->
-      Format.eprintf
-        "injcrpq: E900 error [cli]: --bulk expects on, off or auto (got %s)@." s;
-      exit 2));
-  (match bulk_sweep with
-  | None -> ()
-  | Some s -> (
-    match Bulk_rpq.sweep_of_string s with
-    | Some sw -> Bulk_rpq.set_sweep sw
-    | None ->
-      Format.eprintf
-        "injcrpq: E900 error [cli]: --bulk-sweep expects sparse, dense or auto \
-         (got %s)@."
-        s;
-      exit 2));
-  match bulk_block with
-  | None -> ()
-  | Some b when b >= 1 -> Bulk_rpq.set_block_rows (Some b)
-  | Some b ->
-    Format.eprintf
-      "injcrpq: E900 error [cli]: --bulk-block must be positive (got %d)@." b;
-    exit 2
 
 let perf_term =
   let jobs_arg =
@@ -302,42 +268,7 @@ let perf_term =
           ~doc:"Run independent subproblems on $(docv) domains (default 1, or \
                 \\$INJCRPQ_JOBS).")
   in
-  let no_cache_arg =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ]
-          ~doc:"Disable the automata memo tables (same as INJCRPQ_CACHE=off).")
-  in
-  let bulk_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "bulk" ] ~docv:"MODE"
-          ~doc:"Bulk bit-matrix engine for standard-semantics atom relations: \
-                $(b,on), $(b,off) or $(b,auto) (default auto, or \
-                \\$INJCRPQ_BULK).")
-  in
-  let bulk_sweep_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "bulk-sweep" ] ~docv:"MODE"
-          ~doc:"Per-sweep kernel of the bulk engine: $(b,sparse) (CSR frontier \
-                push), $(b,dense) (bit-matrix rows) or $(b,auto) (switch by \
-                measured frontier density; default, or \\$INJCRPQ_BULK_SWEEP).")
-  in
-  let bulk_block_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "bulk-block" ] ~docv:"B"
-          ~doc:"Tile multi-source bulk runs into blocks of at most $(docv) \
-                source rows, bounding peak visited-matrix memory (default: \
-                sized from a 64 MiB tile budget, or \\$INJCRPQ_BULK_BLOCK).")
-  in
-  Term.(
-    const perf_setup $ jobs_arg $ no_cache_arg $ bulk_arg $ bulk_sweep_arg
-    $ bulk_block_arg)
+  Term.(const perf_setup $ jobs_arg)
 
 (* --------------------------- resource guard ------------------------ *)
 

@@ -1,9 +1,4 @@
-let env_default =
-  match Sys.getenv_opt "INJCRPQ_CACHE" with
-  | Some ("off" | "0" | "false") -> false
-  | Some _ | None -> true
-
-let enabled = ref env_default
+let enabled = ref true
 let is_enabled () = !enabled
 let set_enabled b = enabled := b
 

@@ -5,10 +5,10 @@
     [regex.enumerate] (the short words of an atom language, for the
     expansion searches), [bulk.adjacency] and [bulk.csr] (the per-graph
     label matrices and CSR index).  Every memo table made through
-    {!Memo} shares one runtime switch (default on,
-    [INJCRPQ_CACHE=off|0|false] disables it), registers
-    [cache.<name>.hits] / [.misses] / [.evictions] counters with
-    {!Obs.Metrics}, and appears in the global {!clear_all} registry.
+    {!Memo} shares one runtime switch (on unless {!set_enabled} turns
+    it off), registers [cache.<name>.hits] / [.misses] / [.evictions]
+    counters with {!Obs.Metrics}, and appears in the global {!clear_all}
+    registry.
 
     Guard discipline: entries are inserted only after the underlying
     computation returns, so a {!Guard.Trip} raised mid-construction
@@ -19,8 +19,8 @@
 val is_enabled : unit -> bool
 
 val set_enabled : bool -> unit
-(** Runtime override of the [INJCRPQ_CACHE] default; flipping the
-    switch does not clear existing entries (use {!clear_all}). *)
+(** Turn every memo table on or off (default on); flipping the switch
+    does not clear existing entries (use {!clear_all}). *)
 
 val clear_all : unit -> unit
 (** Empty every memo table created through {!Memo}. *)

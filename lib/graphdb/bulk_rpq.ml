@@ -16,20 +16,9 @@ let g_peak_tile_words = Obs.Metrics.gauge "bulk.peak_tile_words"
 
 type mode = Off | On | Auto
 
-let mode_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "on" | "1" | "true" | "yes" -> Some On
-  | "off" | "0" | "false" | "no" -> Some Off
-  | "auto" -> Some Auto
-  | _ -> None
-
 let mode_to_string = function Off -> "off" | On -> "on" | Auto -> "auto"
 
-let mode_ref =
-  ref
-    (match Sys.getenv_opt "INJCRPQ_BULK" with
-    | Some s -> ( match mode_of_string s with Some m -> m | None -> Auto)
-    | None -> Auto)
+let mode_ref = ref Auto
 
 let current_mode () = !mode_ref
 
@@ -41,24 +30,12 @@ let set_mode m = mode_ref := m
 
 type sweep = Sparse | Dense | Adaptive
 
-let sweep_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "sparse" -> Some Sparse
-  | "dense" -> Some Dense
-  | "auto" | "adaptive" -> Some Adaptive
-  | _ -> None
-
 let sweep_to_string = function
   | Sparse -> "sparse"
   | Dense -> "dense"
   | Adaptive -> "auto"
 
-let sweep_ref =
-  ref
-    (match Sys.getenv_opt "INJCRPQ_BULK_SWEEP" with
-    | Some s -> (
-      match sweep_of_string s with Some m -> m | None -> Adaptive)
-    | None -> Adaptive)
+let sweep_ref = ref Adaptive
 
 let current_sweep () = !sweep_ref
 
@@ -82,15 +59,7 @@ let dense_node_cap = 16384
    bulk.* counter — machine- and domain-count-independent. *)
 let tile_budget_words = 8 * 1024 * 1024
 
-let block_env () =
-  match Sys.getenv_opt "INJCRPQ_BULK_BLOCK" with
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some b when b >= 1 -> Some b
-    | _ -> None)
-  | None -> None
-
-let block_ref = ref (block_env ())
+let block_ref = ref None
 
 let current_block_rows () = !block_ref
 
@@ -220,16 +189,6 @@ let build_adjacency g =
 
 let adjacency g = Adj_tbl.find_or_add adj_tbl (Graph.uid g) (fun () -> build_adjacency g)
 
-(* Same re-keying as [Path_search.intern_delta]: transitions on labels
-   the graph never uses can't fire and are dropped. *)
-let intern_delta g nfa =
-  Array.map
-    (List.filter_map (fun (a, q') ->
-         match Graph.label_id g a with
-         | Some ai -> Some (ai, q')
-         | None -> None))
-    nfa.Nfa.delta
-
 (* ------------------------------------------------------------------ *)
 (* Multiple-source frontier BFS: hybrid sparse/dense tiles              *)
 (* ------------------------------------------------------------------ *)
@@ -252,7 +211,7 @@ let make_ctx g nfa =
   {
     n = Graph.nnodes g;
     m = nfa.Nfa.nstates;
-    delta = intern_delta g nfa;
+    delta = Path_search.intern_delta g nfa;
     csr = Csr.of_graph g;
     dense = lazy (adjacency g);
     dense_ok = Graph.nnodes g <= dense_node_cap;

@@ -13,8 +13,8 @@
       memory is O(B·n) — three generations (visited/frontier/next) of
       one B×n matrix per NFA state — and 10⁶–10⁷-edge graphs evaluate
       without the full s×n allocation.  B defaults to the largest block
-      whose tile fits ~64 MiB and is overridable via
-      [INJCRPQ_BULK_BLOCK] / {!set_block_rows}.
+      whose tile fits ~64 MiB; tests and benches may pin it with
+      {!set_block_rows}.
     - {b Hybrid sweeps}: each sweep runs either the dense row kernel
       (per-label n×n {!Bitmatrix} OR-gather) or a sparse frontier push
       ({!Csr} successor runs scattered into the next frontier via
@@ -23,15 +23,15 @@
       on the immutable frontier snapshot, so results and counters stay
       domain-count- and strategy-independent; a frontier with no
       successor ends the search without a sweep.  Past {!dense_node_cap}
-      nodes the dense matrices are never built.  [INJCRPQ_BULK_SWEEP] /
-      {!set_sweep} force a kernel.
+      nodes the dense matrices are never built.  Tests and benches may
+      force a kernel with {!set_sweep}.
 
-    Engine selection is governed by [INJCRPQ_BULK=on|off|auto] (or
-    [--bulk] on the CLI): [off] keeps every caller on [Path_search],
-    [on] forces the bulk engine, [auto] (the default) switches only past
-    a size heuristic, so small inputs keep pointwise behavior.
-    Reference evaluators (expansion/morphism oracles) are never
-    switched.
+    Engine selection follows {!current_mode}: [Auto] (the default)
+    switches to the bulk engine only past a size heuristic, so small
+    inputs keep pointwise behavior; [Off] keeps every caller on
+    [Path_search] and [On] forces the bulk engine — the two settings
+    tests use to compare the engines.  Reference evaluators
+    (expansion/morphism oracles) are never switched.
 
     Observability: sweeps pass the [bulk.sweep] guard checkpoint; the
     [bulk.sweeps], [bulk.frontier_bits], [bulk.words_anded],
@@ -46,13 +46,10 @@
 
 type mode = Off | On | Auto
 
-val mode_of_string : string -> mode option
-(** Accepts on/off/auto plus the usual 1/true/0/false spellings. *)
-
 val mode_to_string : mode -> string
 
 val current_mode : unit -> mode
-(** Initialized from [INJCRPQ_BULK] (default [Auto]). *)
+(** [Auto] unless {!set_mode} changed it. *)
 
 val set_mode : mode -> unit
 
@@ -60,13 +57,10 @@ val set_mode : mode -> unit
 
 type sweep = Sparse | Dense | Adaptive
 
-val sweep_of_string : string -> sweep option
-(** Accepts sparse/dense/auto (and "adaptive"). *)
-
 val sweep_to_string : sweep -> string
 
 val current_sweep : unit -> sweep
-(** Initialized from [INJCRPQ_BULK_SWEEP] (default {!Adaptive}). *)
+(** {!Adaptive} unless {!set_sweep} changed it. *)
 
 val set_sweep : sweep -> unit
 (** Forcing {!Dense} builds the dense label matrices whatever the graph
@@ -85,8 +79,7 @@ val block_rows : nstates:int -> nnodes:int -> int
     Deterministic in the problem dimensions and [Sys.int_size] only. *)
 
 val current_block_rows : unit -> int option
-(** The override (from [INJCRPQ_BULK_BLOCK] or {!set_block_rows}), if
-    any. *)
+(** The override set by {!set_block_rows}, if any. *)
 
 val set_block_rows : int option -> unit
 (** @raise Invalid_argument on a block height < 1. *)

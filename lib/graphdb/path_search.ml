@@ -81,13 +81,18 @@ let product_bfs g nfa srcs =
   seen
 
 let reachable g nfa src =
-  let m = nfa.Nfa.nstates in
-  let starts = List.map (fun q -> (src, q)) nfa.Nfa.initials in
-  let seen = product_bfs g nfa starts in
-  List.filter
-    (fun v ->
-      List.exists (fun q -> nfa.Nfa.finals.(q) && seen.((v * m) + q)) (List.init m (fun i -> i)))
-    (Graph.nodes g)
+  if src < 0 || src >= Graph.nnodes g then []
+  else begin
+    let m = nfa.Nfa.nstates in
+    let starts = List.map (fun q -> (src, q)) nfa.Nfa.initials in
+    let seen = product_bfs g nfa starts in
+    List.filter
+      (fun v ->
+        List.exists
+          (fun q -> nfa.Nfa.finals.(q) && seen.((v * m) + q))
+          (List.init m (fun i -> i)))
+      (Graph.nodes g)
+  end
 
 let reach_relation g nfa =
   let n = Graph.nnodes g in
@@ -104,7 +109,7 @@ let find_path g nfa ~src ~dst =
   (* BFS with parent pointers over the product. *)
   let m = nfa.Nfa.nstates in
   let n = Graph.nnodes g in
-  if n = 0 then None
+  if src < 0 || src >= n then None
   else begin
     let delta_ids = intern_delta g nfa in
     let parent = Array.make (n * m) None in

@@ -16,6 +16,11 @@
 
 type node = Graph.node
 
+(** [intern_delta g nfa].(q) lists [(ai, q')] for each transition
+    {m q \xrightarrow{a} q'} whose label [a] has graph label id [ai];
+    transitions on labels [g] never uses can't fire and are dropped. *)
+val intern_delta : Graph.t -> Nfa.t -> (int * int) list array
+
 (** {1 Arbitrary paths (standard semantics)} *)
 
 (** [product_bfs g nfa srcs]: BFS over the product of the graph with the
@@ -24,7 +29,8 @@ type node = Graph.node
     included). *)
 val product_bfs : Graph.t -> Nfa.t -> (node * int) list -> bool array
 
-(** Nodes reachable from [src] by a path whose label is accepted. *)
+(** Nodes reachable from [src] by a path whose label is accepted
+    ([[]] when [src] is not a node of the graph). *)
 val reachable : Graph.t -> Nfa.t -> node -> node list
 
 (** [reach_relation g nfa].(u).(v) iff some path from [u] to [v] has an

@@ -97,6 +97,16 @@ let gen_query_case =
 
 let answers sem q g = Eval.eval sem q g
 
+(* The On side runs twice: once under the engine's own kernel and tile
+   choices, once with the sparse kernel and 2-row tiles forced, so every
+   answer also crosses the sparse push and the tile seams. *)
+let on_variants =
+  [
+    ("default kernels", fun f -> f ());
+    ( "sparse/2-row tiles",
+      fun f -> with_sweep Bulk_rpq.Sparse (fun () -> with_block (Some 2) f) );
+  ]
+
 let test_eval_all_semantics =
   Testutil.qtest ~count:200
     "Eval answers identical with the bulk engine on vs off (5 semantics)"
@@ -106,18 +116,59 @@ let test_eval_all_semantics =
           let want = with_mode Bulk_rpq.Off (fun () -> answers sem q g) in
           List.for_all
             (fun c ->
-              let got =
-                with_config c (fun () ->
-                    with_mode Bulk_rpq.On (fun () -> answers sem q g))
-              in
-              if got = want then true
-              else
-                QCheck2.Test.fail_reportf
-                  "Eval/%s with bulk on diverges under %s on %s / %s"
-                  (Semantics.to_string sem) c.cname (Testutil.print_graph g)
-                  (Crpq.to_string q))
+              List.for_all
+                (fun (vname, variant) ->
+                  let got =
+                    with_config c (fun () ->
+                        with_mode Bulk_rpq.On (fun () ->
+                            variant (fun () -> answers sem q g)))
+                  in
+                  if got = want then true
+                  else
+                    QCheck2.Test.fail_reportf
+                      "Eval/%s with bulk on (%s) diverges under %s on %s / %s"
+                      (Semantics.to_string sem) vname c.cname
+                      (Testutil.print_graph g) (Crpq.to_string q))
+                on_variants)
             configs)
         Semantics.all)
+
+(* ---------------- St containment through the expansion checks ----- *)
+
+(* The deciders' expansion checks ([Containment.defeats_all]) evaluate
+   the right query with [Eval.check St], which is where the bulk engine
+   meets containment.  Both directions of each biased pair run, so the
+   battery sees contained verdicts and counterexample witnesses alike. *)
+let gen_contain_seed = QCheck2.Gen.int_bound 0x3FFFFFF
+
+let verdict_repr = function
+  | Containment.Not_contained w ->
+    Format.asprintf "not contained: %a at (%s)" Cq.pp
+      w.Containment.expansion.Expansion.cq
+      (String.concat "," (List.map string_of_int w.Containment.tuple))
+  | v -> Format.asprintf "%a" Containment.pp_verdict v
+
+let test_st_containment =
+  Testutil.qtest ~count:100
+    "St containment verdicts and witnesses identical with the bulk engine on vs off"
+    gen_contain_seed (fun seed ->
+      let rng = Random.State.make [| 0xB03; seed |] in
+      let cls = if Random.State.bool rng then Crpq.Class_fin else Crpq.Class_crpq in
+      let q1, q2 =
+        Qgen.contained_pair ~rng ~labels:[ "a"; "b" ] ~nvars:3 ~natoms:2 ~cls ()
+      in
+      List.for_all
+        (fun (l, r) ->
+          let decide () =
+            verdict_repr (Containment.decide ~bound:2 Semantics.St l r)
+          in
+          let want = with_mode Bulk_rpq.Off decide in
+          let got = with_mode Bulk_rpq.On decide in
+          if got = want then true
+          else
+            QCheck2.Test.fail_reportf "St %s vs %s@.bulk off: %s@.bulk on:  %s"
+              (Crpq.to_string l) (Crpq.to_string r) want got)
+        [ (q1, q2); (q2, q1) ])
 
 (* -------- sweep kernels × tiling: one differential matrix ---------- *)
 
@@ -278,46 +329,6 @@ let test_auto_dispatch () =
       Alcotest.(check bool) "auto: past the crossover goes bulk" true
         (Bulk_rpq.use_bulk big nfa))
 
-let test_mode_strings () =
-  List.iter
-    (fun (s, m) ->
-      Alcotest.(check string)
-        (Printf.sprintf "mode %s" s)
-        (Bulk_rpq.mode_to_string m)
-        (match Bulk_rpq.mode_of_string s with
-        | Some m' -> Bulk_rpq.mode_to_string m'
-        | None -> "?"))
-    [
-      ("on", Bulk_rpq.On);
-      ("1", Bulk_rpq.On);
-      ("true", Bulk_rpq.On);
-      ("off", Bulk_rpq.Off);
-      ("0", Bulk_rpq.Off);
-      ("auto", Bulk_rpq.Auto);
-      ("AUTO", Bulk_rpq.Auto);
-    ];
-  Alcotest.(check bool) "garbage rejected" true
-    (Bulk_rpq.mode_of_string "fast" = None)
-
-let test_sweep_strings () =
-  List.iter
-    (fun (s, sw) ->
-      Alcotest.(check string)
-        (Printf.sprintf "sweep %s" s)
-        (Bulk_rpq.sweep_to_string sw)
-        (match Bulk_rpq.sweep_of_string s with
-        | Some sw' -> Bulk_rpq.sweep_to_string sw'
-        | None -> "?"))
-    [
-      ("sparse", Bulk_rpq.Sparse);
-      ("SPARSE", Bulk_rpq.Sparse);
-      ("dense", Bulk_rpq.Dense);
-      ("auto", Bulk_rpq.Adaptive);
-      ("adaptive", Bulk_rpq.Adaptive);
-    ];
-  Alcotest.(check bool) "garbage sweep rejected" true
-    (Bulk_rpq.sweep_of_string "hybrid" = None)
-
 let test_block_validation () =
   Alcotest.check_raises "block 0 rejected"
     (Invalid_argument "Bulk_rpq.set_block_rows") (fun () ->
@@ -350,6 +361,7 @@ let () =
     [
       ("relations", [ test_multi_source ]);
       ("eval", [ test_eval_all_semantics ]);
+      ("containment", [ test_st_containment ]);
       ("kernels", [ test_sweep_tiling_matrix; test_sparse_chaos ]);
       ( "tiling",
         [
@@ -360,8 +372,6 @@ let () =
       ( "seams",
         [
           Alcotest.test_case "auto dispatch" `Quick test_auto_dispatch;
-          Alcotest.test_case "mode strings" `Quick test_mode_strings;
-          Alcotest.test_case "sweep strings" `Quick test_sweep_strings;
           Alcotest.test_case "block validation" `Quick test_block_validation;
           Alcotest.test_case "mid-size agreement" `Quick
             test_mid_graph_crossagreement;

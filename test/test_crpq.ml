@@ -98,9 +98,9 @@ let test_nfa_cache () =
   let r = Regex.parse "(ab)*" in
   let n1 = Crpq.nfa r and n2 = Crpq.nfa r in
   check Alcotest.bool "structurally equal" true (n1 = n2);
-  (* physical equality holds exactly when the memo layer is live: it is
-     bypassed under INJCRPQ_CACHE=off and while chaos injection is armed *)
-  if Cache.is_enabled () && not (Guard.Chaos.active ()) then
+  (* physical equality holds exactly when the memo layer is live: chaos
+     injection bypasses it while armed *)
+  if not (Guard.Chaos.active ()) then
     check Alcotest.bool "memoized" true (n1 == n2)
 
 let () =

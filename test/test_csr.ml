@@ -57,14 +57,11 @@ let test_nnz_sums =
       total csr.Csr.fwd = Graph.nedges g && total csr.Csr.rev = Graph.nedges g)
 
 (* The identity below holds only through [Cache.Memo], which the
-   INJCRPQ_CACHE=off and INJCRPQ_CHAOS legs bypass: establish the memo
-   for the test's duration and restore the process-wide setting after. *)
+   INJCRPQ_CHAOS leg bypasses: disarm chaos for the test's duration and
+   re-arm it after. *)
 let with_memo_on f =
-  let was_enabled = Cache.is_enabled () in
-  Cache.set_enabled true;
   Guard.Chaos.disarm ();
   Fun.protect f ~finally:(fun () ->
-      Cache.set_enabled was_enabled;
       match Sys.getenv_opt "INJCRPQ_CHAOS" with
       | Some spec -> ignore (Guard.Chaos.arm_spec spec)
       | None -> ())

@@ -1,10 +1,10 @@
 (* Differential test suite for the memoization + multicore layer.
 
    Every decider must be a pure function of its inputs: switching the
-   memo tables off (INJCRPQ_CACHE / Cache.set_enabled) or fanning the
-   expansion search across several domains (Parmap) must never change a
-   verdict, a witness, or an answer set.  Each property below draws a
-   random workload from lib/workload, runs the decider under four
+   memo tables off (Cache.set_enabled) or fanning the expansion search
+   across several domains (Parmap) must never change a verdict, a
+   witness, or an answer set.  Each property below draws a random
+   workload from lib/workload, runs the decider under four
    configurations — {cached, uncached} x {1 domain, 2 domains} — and
    requires the exact same result as the uncached sequential reference. *)
 

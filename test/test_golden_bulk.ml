@@ -48,22 +48,11 @@ let render () =
       fmt
   in
   line "# Pinned E16 bulk-engine work accounting (fixed seeds, 1 domain,";
-  line "# 63-bit words) and Example 2.1 answers under INJCRPQ_BULK=on.";
+  line "# 63-bit words) and Example 2.1 answers with the bulk engine on.";
   line "";
   Obs.Metrics.set_enabled true;
   Parmap.set_default_jobs 1;
-  (* pin the sweep policy and tile geometry so an ambient
-     INJCRPQ_BULK_SWEEP / INJCRPQ_BULK_BLOCK (e.g. a CI leg) cannot move
-     the pinned work accounting *)
-  let prev_sweep = Bulk_rpq.current_sweep () in
-  let prev_block = Bulk_rpq.current_block_rows () in
-  Bulk_rpq.set_sweep Bulk_rpq.Adaptive;
-  Bulk_rpq.set_block_rows None;
-  Fun.protect ~finally:(fun () ->
-      Bulk_rpq.set_sweep prev_sweep;
-      Bulk_rpq.set_block_rows prev_block;
-      Obs.Metrics.set_enabled false)
-  @@ fun () ->
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled false) @@ fun () ->
   let cells =
     List.filter
       (fun (_, g, _) -> Graph.nnodes g <= 256)

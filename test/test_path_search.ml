@@ -140,6 +140,41 @@ let test_all_simple () =
   Alcotest.check Alcotest.int "two witnesses" 2
     (List.length (Path_search.all_simple g nfa ~src:0 ~dst:3))
 
+let test_source_outside_graph () =
+  (* a source that is not a node answers "no path" on every regime, the
+     standard-semantics helpers included *)
+  let g = Graph.make ~nnodes:3 [ (0, "a", 1); (1, "b", 2) ] in
+  let lang = Regex.parse "ab" in
+  let nfa = Nfa.of_regex lang in
+  let q = Crpq.make ~free:[ "x"; "y" ] [ Crpq.atom "x" lang "y" ] in
+  List.iter
+    (fun src ->
+      let name what = Printf.sprintf "%s from %d" what src in
+      Alcotest.(check (list int)) (name "reachable") []
+        (Path_search.reachable g nfa src);
+      Alcotest.(check bool) (name "exists_path") false
+        (Path_search.exists_path g nfa ~src ~dst:2);
+      Alcotest.(check bool) (name "find_path") true
+        (Path_search.find_path g nfa ~src ~dst:2 = None);
+      Alcotest.(check bool) (name "exists_simple") false
+        (Path_search.exists_simple g nfa ~src ~dst:2);
+      Alcotest.(check bool) (name "exists_trail") false
+        (Path_search.exists_trail g nfa ~src ~dst:2);
+      Alcotest.(check bool) (name "Rpq.check_standard") false
+        (Rpq.check_standard lang g src 2);
+      Alcotest.(check bool) (name "Rpq.check_simple_path") false
+        (Rpq.check_simple_path lang g src 2);
+      Alcotest.(check bool) (name "Rpq.check_trail") false
+        (Rpq.check_trail lang g src 2);
+      List.iter
+        (fun sem ->
+          Alcotest.(check bool)
+            (name ("Eval.check " ^ Semantics.to_string sem))
+            false
+            (Eval.check sem q g [ src; 2 ]))
+        Semantics.all)
+    [ 7; -1 ]
+
 let () =
   Alcotest.run "path_search"
     [
@@ -150,6 +185,8 @@ let () =
           Alcotest.test_case "avoid_internal" `Quick test_avoid_internal;
           Alcotest.test_case "trail vs simple" `Quick test_trail_vs_simple;
           Alcotest.test_case "all_simple" `Quick test_all_simple;
+          Alcotest.test_case "source outside the graph" `Quick
+            test_source_outside_graph;
         ] );
       ( "properties",
         [

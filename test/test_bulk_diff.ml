@@ -361,7 +361,7 @@ let () =
     [
       ("relations", [ test_multi_source ]);
       ("eval", [ test_eval_all_semantics ]);
-      ("containment", [ test_st_containment ]);
+      ("contain", [ test_st_containment ]);
       ("kernels", [ test_sweep_tiling_matrix; test_sparse_chaos ]);
       ( "tiling",
         [

@@ -175,6 +175,139 @@ let test_source_outside_graph () =
         Semantics.all)
     [ 7; -1 ]
 
+(* [find_simple]'s witness for every (src, dst) pair, pinned on seeded
+   random graphs: the search order (Graph.out's order, label then node
+   descending) decides which witness comes first, and changes to the
+   search must keep it.  A path renders as its source followed by
+   label/node steps; "-" marks no accepted simple path.  Rows list the
+   pairs in row-major (src, dst) order. *)
+let render_path p =
+  String.concat ""
+    (string_of_int (Path.src p)
+    :: List.map (fun (a, v) -> a ^ string_of_int v) p.Path.steps)
+
+let witness_table g nfa =
+  let n = Graph.nnodes g in
+  String.concat " "
+    (List.concat_map
+       (fun u ->
+         List.init n (fun v ->
+             match Path_search.find_simple g nfa ~src:u ~dst:v with
+             | None -> "-"
+             | Some p -> render_path p))
+       (List.init n Fun.id))
+
+let pinned_witnesses =
+  [
+    ( 1,
+      "(a|b)*",
+      [
+        "0 0b4a5b1 0b4a5b1a2 0b4a3 0b4 0b4a5 1b5b0 1 1b5a2 1b5b0b4a3";
+        "1b5b0b4 1b5 2a5b0 2a5b1 2 2a5b0b4a3 2a5b0b4 2a5 3a4a5b0";
+        "3a4a5b1 3a4a5b1a2 3 3a4 3a4a5 4a5b0 4a5b1 4a5b1a2 4a5b0b3 4";
+        "4a5 5b0 5b1 5b1a2 5b1a2a4a3 5b1a2a4 5";
+      ] );
+    ( 1,
+      "a(b|a)+",
+      [
+        "0a5b0 0a5b1 0a5b1a2 0a5b1a2a4a3 0a5b1a2a4 0a4a5 1a2a5b0";
+        "1a2a5b1 - 1a2a5b0b4a3 1a2a5b0b4 1a2a5 2a5b0 2a5b1 2a5b1a2";
+        "2a5b0b4a3 2a5b0b4 2a4a5 3a4a5b0 3a4a5b1 3a4a5b1a2 3a4a5b0b3";
+        "- 3a4a5 4a5b0 4a5b1 4a5b1a2 4a5b0b3 4a5b1a2a4 - - - - 5a4a3";
+        "5a2a4 5a4a5";
+      ] );
+    ( 1,
+      "(ab)*|ba*",
+      [
+        "0 0a5b1 0b4a5a2 0b4a3 0b4 0b4a5 - 1 1b5a2 1b5a4a3 1b5a4 1b5";
+        "2a5b0 2a5b1 2 - - - - - - 3 - - 4a5b0 4a5b1 - - 4 - 5b0 5b1";
+        "5b1a2 5b1a2a4a3 5b1a2a4 5";
+      ] );
+    ( 2,
+      "(a|b)*",
+      [
+        "0 0b2b1 0b2 0b3 0b2b4 0b2b1b5 1b5a0 1 1b5a0b2 1b5a0b3";
+        "1b5a0b2b4 1b5 2b1b5a0 2b1 2 2b4b3 2b4 2b1b5 - - - 3 - - - -";
+        "- 4b3 4 - 5a0 5a0b2b1 5a0b2 5a0b3 5a0b2b4 5";
+      ] );
+    ( 2,
+      "a(b|a)+",
+      [
+        "- - - 0a4b3 - - 1a5a0 1a5a0b2b1 1a5a0b2 1a5a0b3 1a5a0b2b4";
+        "1a0b2a5 2a5a0 2a5a0b1 2a5a0b2 2a5a0b3 2a5a0b1a4 - - - - - -";
+        "- - - - - - - - 5a0b2b1 5a0b2 5a0b3 5a0b2b4 5a0b2b1b5";
+      ] );
+    ( 2,
+      "(ab)*|ba*",
+      [
+        "0 0b1 0b2 0b3 0b1a4 0b2a5 1b5a0 1 1a0b2 1b5a0a4a3 1b5a0a4";
+        "1b5 2b1a5a0 2b1 2 2b4a3 2b4 2b1a5 - - - 3 - - - - - 4b3 4 -";
+        "- 5a0b1 5a0b2 5a0b3 - 5";
+      ] );
+    ( 3,
+      "(a|b)*",
+      [
+        "0 0b5a4a1 0b5a4a1b3b2 0b5a4a1b3 0b5a4 0b5 1b3b2a0 1 1b3b2";
+        "1b3 1b3b2a0b5a4 1b3b2a0b5 2a1b3b0 2a1 2 2a1b3 2a1b3b0b5a4";
+        "2a1b3b0b5 3b2a1b0 3b2a1 3b2 3 3b2a1b0b5a4 3b2a1b0b5";
+        "4a5a2a1b3b0 4a5a2a1 4a5a2 4a5a2a1b3 4 4a5 5a4a1b3b2a0 5a4a1";
+        "5a4a1b3b2 5a4a1b3 5a4 5";
+      ] );
+    ( 3,
+      "a(b|a)+",
+      [
+        "0a4a5a2a1b3b0 0a4a5a2a1 0a4a5a2 0a4a5a2a1b3 0a2a1a5a4 0a4a5";
+        "1a5a2a0 1a5a4a1 1a5a2 - 1a5a4 - 2a1b3b0 2a0b5a4a1 2a1b3b2";
+        "2a1b3 2a1b3b0b5a4 2a1b3b0b5 3a2a1b0 3a2a1 - 3a2a1b3";
+        "3a2a1b0b5a4 3a2a1b0b5 4a5a2a1b3b0 4a5a2a1 4a5a2 4a5a2a1b3";
+        "4a5a4 4a1b3b2a0b5 5a4a1b3b2a0 5a4a1 5a4a1b3b2 5a4a1b3";
+        "5a2a1b3b0a4 5a4a5";
+      ] );
+    ( 3,
+      "(ab)*|ba*",
+      [
+        "0 0b5a4a1 0b5a2 - 0b5a4 0b5 1b3a2a0 1 1b3a2 1b3 1b3a2a0a4";
+        "1b3a2a0a4a5 2a1b0 2a0b1 2 2a1b3 - 2a0b5 3b2a0 3b2a1 3b2 3";
+        "3b2a1a5a4 3b2a1a5 4a1b0 - - 4a1b3 4 - - - - - - 5";
+      ] );
+  ]
+
+let test_witness_pins () =
+  List.iter
+    (fun (seed, re, rows) ->
+      let g =
+        Generate.gnp ~rng:(Random.State.make [| seed |]) ~nodes:6
+          ~labels:[ "a"; "b" ] ~p:0.25
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d, %s" seed re)
+        (String.concat " " rows)
+        (witness_table g (Nfa.of_regex (Regex.parse re))))
+    pinned_witnesses
+
+(* [iter_simple]'s enumeration order, pinned the same way: Eval's
+   query-injective join threads paths in this order. *)
+let test_enumeration_pin () =
+  let g =
+    Generate.gnp ~rng:(Random.State.make [| 3 |]) ~nodes:6 ~labels:[ "a"; "b" ]
+      ~p:0.25
+  in
+  let nfa = Nfa.of_regex (Regex.parse "(a|b)*") in
+  let expect src dst rows =
+    Alcotest.(check (list string))
+      (Printf.sprintf "%d -> %d" src dst)
+      (String.split_on_char ' ' (String.concat " " rows))
+      (List.map render_path (Path_search.all_simple g nfa ~src ~dst))
+  in
+  expect 0 3 [ "0b5a4a1b3 0b5a2a1b3 0b1b3 0a4a5a2a1b3 0a4a1b3 0a2a1b3" ];
+  expect 2 2
+    [
+      "2 2a1b3b2 2a1b3b0b5a2 2a1b3b0a4a5a2 2a1b3b0a2 2a1b3a2 2a1b0b5a2";
+      "2a1b0a4a5a2 2a1b0a2 2a1a5a2 2a0b5a4a1b3b2 2a0b5a4a1b3a2 2a0b5a2";
+      "2a0b1b3b2 2a0b1b3a2 2a0b1a5a2 2a0a4a5a2 2a0a4a1b3b2 2a0a4a1b3a2";
+      "2a0a4a1a5a2 2a0a2";
+    ]
+
 let () =
   Alcotest.run "path_search"
     [
@@ -187,6 +320,8 @@ let () =
           Alcotest.test_case "all_simple" `Quick test_all_simple;
           Alcotest.test_case "source outside the graph" `Quick
             test_source_outside_graph;
+          Alcotest.test_case "find_simple witness pins" `Quick test_witness_pins;
+          Alcotest.test_case "iter_simple order pin" `Quick test_enumeration_pin;
         ] );
       ( "properties",
         [

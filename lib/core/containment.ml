@@ -205,6 +205,25 @@ let bounded ?guard sem ~max_len q1 q2 =
   check_arity q1 q2;
   supervised ?guard (fun () -> search sem ~max_len:(Some max_len) [ q1 ] [ q2 ])
 
+(* Both injective containments imply the standard one (§4.1), and the
+   Theorem 5.1 algorithm decides the query-injective one exactly, so its
+   certificate settles a standard-semantics pair before any expansion is
+   enumerated.  It can never certify a pair that is not St-contained:
+   where it declines, the bounded search runs as before and returns the
+   same witness or budget exhaustion. *)
+let certified_search sem ~bound lhs rhs =
+  let certified () =
+    match Containment_qinj.decide_union lhs rhs with
+    | Containment_qinj.Qinj_contained -> true
+    | Containment_qinj.Qinj_not_contained _ -> false
+    | exception Containment_qinj.Unsupported _ -> false
+  in
+  if sem = Semantics.St && certified () then Contained
+  else search sem ~max_len:(Some bound) lhs rhs
+
+let certified_bounded sem ~bound q1 q2 =
+  supervised (fun () -> certified_search sem ~bound [ q1 ] [ q2 ])
+
 (* ------------------------------------------------------------------ *)
 (* Dispatcher                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -307,27 +326,9 @@ let decide_impl ~bound sem q1 q2 =
     | exception Containment_f7.Unsupported msg ->
       with_note
         ("window algorithm unsupported: " ^ msg)
-        (bounded sem ~max_len:bound q1 q2)
+        (certified_bounded sem ~bound q1 q2)
   end
-  | S_bounded -> begin
-    (* For standard semantics, query-injective containment is a sound
-       sufficient condition (Prop 4.3 homs are in particular homs), and
-       the Theorem 5.1 algorithm decides it exactly: try it before the
-       bounded search. *)
-    let qinj_implies () =
-      match sem with
-      | Semantics.St -> begin
-        match Containment_qinj.decide q1 q2 with
-        | Containment_qinj.Qinj_contained -> true
-        | Containment_qinj.Qinj_not_contained _ -> false
-        | exception Containment_qinj.Unsupported _ -> false
-      end
-      | _ -> false
-    in
-    match bounded sem ~max_len:bound q1 q2 with
-    | Unknown _ as u -> if qinj_implies () then Contained else u
-    | v -> v
-  end
+  | S_bounded -> certified_bounded sem ~bound q1 q2
 
 let preprocessor : (Semantics.t -> Crpq.t -> Crpq.t) ref = ref (fun _ q -> q)
 

@@ -11,10 +11,18 @@
       {m \bar y \in Q_2(E_1)^\star} (Props 4.2, 4.3, 4.6; Prop F.10).
     - {b query-injective, unrestricted}: exact via the abstraction
       algorithm of Theorem 5.1 (see {!Containment_qinj}).
+    - {b standard, right query a CQ}: exact via the window algorithm of
+      Prop F.7 (see {!Containment_f7}), which declines instances past
+      its enumeration caps.
     - {b everything else}: bounded counterexample search — sound and
       complete for NOT-CONTAINED up to the expansion-length bound.  For
       atom-injective CRPQ/CRPQ this is the theoretically best possible
-      behaviour: the problem is undecidable (Theorem 5.2).
+      behaviour: the problem is undecidable (Theorem 5.2).  Under
+      standard semantics the Theorem 5.1 certificate is asked first
+      (both injective containments imply the standard one, §4.1): when
+      it proves {m Q_1 \subseteq_{q\text{-}inj} Q_2} the answer is
+      [Contained] with no expansion enumerated; otherwise the bounded
+      search runs.  The same order applies where Prop F.7 declines.
 
     Only the three node semantics are supported; the containment theory
     for trail semantics is future work in the paper (Section 7). *)
@@ -108,6 +116,18 @@ val finite_lhs : ?guard:Guard.t -> Semantics.t -> Crpq.t -> Crpq.t -> verdict
     with per-atom words of length at most [max_len]. *)
 val bounded :
   ?guard:Guard.t -> Semantics.t -> max_len:int -> Crpq.t -> Crpq.t -> verdict
+
+(** The standard-semantics fallback shared by {!decide} and
+    {!Ucrpq.contained}: under [St], [Contained] when the Theorem 5.1
+    algorithm proves the query-injective containment of the unions
+    [lhs] ⊆ [rhs] (which implies the standard one); otherwise, and
+    under the other semantics, [search sem ~max_len:(Some bound) lhs
+    rhs].  The certificate never holds for a pair that is not
+    St-contained, so every [Not_contained] witness is the one the
+    search alone returns.  No guard boundary of its own.
+    @raise Invalid_argument on edge semantics. *)
+val certified_search :
+  Semantics.t -> bound:int -> Crpq.t list -> Crpq.t list -> verdict
 
 (** Dispatching decider; picks the best available procedure.  [bound]
     (default 4) controls the fallback bounded search.  [guard] (or an

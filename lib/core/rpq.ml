@@ -19,8 +19,8 @@ let eval_standard lang g =
   pairs_of_relation g (fun u v -> rel.(u).(v))
 
 let eval_simple_path lang g =
-  let nfa = Crpq.nfa lang in
-  pairs_of_relation g (fun u v -> Path_search.exists_simple g nfa ~src:u ~dst:v)
+  let rel = Path_search.simple_reach_relation g (Crpq.nfa lang) in
+  pairs_of_relation g (fun u v -> rel.(u).(v))
 
 let eval_trail lang g =
   let nfa = Crpq.nfa lang in

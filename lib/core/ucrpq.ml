@@ -66,10 +66,8 @@ let contained_impl ~bound sem u1 u2 =
       Containment.Unknown
         (Containment.Undecided ("abstraction algorithm unsupported: " ^ msg))
   end
-  else
-    Containment.search sem
-      ~max_len:(if all_finite then None else Some bound)
-      lhs rhs
+  else if all_finite then Containment.search sem ~max_len:None lhs rhs
+  else Containment.certified_search sem ~bound lhs rhs
 
 let contained ?(bound = 4) ?guard sem u1 u2 =
   let go () =

@@ -155,83 +155,181 @@ let find_path g nfa ~src ~dst =
 (* Simple paths: backtracking with product-reachability pruning.       *)
 (* ------------------------------------------------------------------ *)
 
+(* One searcher serves every simple-path search over a (graph, automaton)
+   pair.  It interns the transitions once and fills the backward
+   co-reachability table of a destination on first use, so the n² pairs
+   of a relation cost one product BFS per destination instead of one per
+   pair.  [visited] and [path] are scratch shared by the searches: every
+   exit from a search, [Found] and guard trips included, clears them,
+   and a search may not start another on the same searcher from its
+   callback. *)
+type simple_searcher = {
+  g : Graph.t;
+  nfa : Nfa.t;
+  m : int;
+  nl : int;
+  next : int list array; (* next.(q * nl + ai): successors of q on label ai *)
+  rdelta : (int * int) list array;
+  coreach : Bytes.t option array; (* per destination, bit u * m + q *)
+  queue : int array; (* the co-reachability BFS queue *)
+  visited : bool array;
+  path : int array; (* the marked nodes, [depth] of them *)
+  mutable depth : int;
+}
+
+let simple_searcher g nfa =
+  let m = nfa.Nfa.nstates and nl = Graph.nlabels g and n = Graph.nnodes g in
+  let next = Array.make (max (m * nl) 1) [] in
+  Array.iteri
+    (fun q trans ->
+      List.iter
+        (fun (ai, q') -> next.((q * nl) + ai) <- q' :: next.((q * nl) + ai))
+        trans)
+    (intern_delta g nfa);
+  Array.iteri (fun i l -> next.(i) <- List.sort_uniq Int.compare l) next;
+  { g; nfa; m; nl; next; rdelta = intern_delta_rev g nfa;
+    coreach = Array.make (max n 1) None; queue = Array.make (max (n * m) 1) 0;
+    visited = Array.make (max n 1) false; path = Array.make (max n 1) 0; depth = 0 }
+
+let bit_get b i = Char.code (Bytes.unsafe_get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+let bit_set b i =
+  Bytes.unsafe_set b (i lsr 3)
+    (Char.unsafe_chr (Char.code (Bytes.unsafe_get b (i lsr 3)) lor (1 lsl (i land 7))))
+
 (* Backward product reachability towards (dst, some final state): a
    necessary condition for the pruned forward search. *)
-let co_reach g nfa dst =
-  let m = nfa.Nfa.nstates in
-  let n = Graph.nnodes g in
-  let seen = Array.make (max (n * m) 1) false in
-  let queue = Queue.create () in
-  let push u q =
-    let c = (u * m) + q in
-    if not seen.(c) then begin
-      seen.(c) <- true;
-      Obs.Metrics.incr m_product_states;
-      Queue.add (u, q) queue
-    end
-  in
-  Array.iteri (fun q f -> if f then push dst q) nfa.Nfa.finals;
-  (* backward edges of the product *)
-  let rdelta = intern_delta_rev g nfa in
-  while not (Queue.is_empty queue) do
-    Guard.checkpoint "path_search.product";
-    let v, q' = Queue.pop queue in
-    List.iter
-      (fun (ai, q) ->
-        let preds = Graph.pred_ids g v ai in
-        for i = 0 to Array.length preds - 1 do
-          push preds.(i) q
-        done)
-      rdelta.(q')
-  done;
-  seen
+let co_reach s dst =
+  match s.coreach.(dst) with
+  | Some b -> b
+  | None ->
+    let m = s.m in
+    let seen = Bytes.make (((Graph.nnodes s.g * m) + 7) / 8) '\000' in
+    let queue = s.queue and tail = ref 0 in
+    let push u q =
+      let c = (u * m) + q in
+      if not (bit_get seen c) then begin
+        bit_set seen c;
+        Obs.Metrics.incr m_product_states;
+        queue.(!tail) <- c;
+        incr tail
+      end
+    in
+    Array.iteri (fun q f -> if f then push dst q) s.nfa.Nfa.finals;
+    let head = ref 0 in
+    while !head < !tail do
+      Guard.checkpoint "path_search.product";
+      let c = queue.(!head) in
+      incr head;
+      let v = c / m and q' = c mod m in
+      List.iter
+        (fun (ai, q) ->
+          let preds = Graph.pred_ids s.g v ai in
+          for i = 0 to Array.length preds - 1 do
+            push preds.(i) q
+          done)
+        s.rdelta.(q')
+    done;
+    s.coreach.(dst) <- Some seen;
+    seen
 
-let iter_simple ?(avoid_internal = fun _ -> false) g nfa ~src ~dst f =
-  let n = Graph.nnodes g in
+(* The state set reached from [states] on label id [ai]. *)
+let step s states ai =
+  match states with
+  | [ q ] -> s.next.((q * s.nl) + ai)
+  | _ ->
+    List.fold_left
+      (fun acc q ->
+        List.fold_left
+          (fun acc q' -> if List.mem q' acc then acc else q' :: acc)
+          acc
+          s.next.((q * s.nl) + ai))
+      [] states
+
+let unmark s =
+  for i = 0 to s.depth - 1 do
+    s.visited.(s.path.(i)) <- false
+  done;
+  s.depth <- 0
+
+(* The DFS takes the edges of a node in [Graph.out]'s order (label, then
+   successor, descending), which fixes the enumeration order and hence
+   the first witness. *)
+let iter_simple_with ?(avoid_internal = fun _ -> false) s ~src ~dst f =
+  let n = Graph.nnodes s.g in
+  if s.depth > 0 then invalid_arg "Path_search: nested search on one searcher";
   if src < 0 || src >= n || dst < 0 || dst >= n then ()
   else begin
+    let nfa = s.nfa in
     if src = dst && Nfa.accepts_eps nfa then f (Path.empty src);
-    let m = nfa.Nfa.nstates in
-    let coreach = co_reach g nfa dst in
-    let visited = Array.make n false in
-    visited.(src) <- true;
+    let m = s.m in
+    let coreach = co_reach s dst in
+    let live v states = List.exists (fun q -> bit_get coreach ((v * m) + q)) states in
+    let mark v =
+      s.visited.(v) <- true;
+      s.path.(s.depth) <- v;
+      s.depth <- s.depth + 1
+    in
+    let release () =
+      s.depth <- s.depth - 1;
+      s.visited.(s.path.(s.depth)) <- false
+    in
     let rec go u states rev_steps =
       Guard.checkpoint "path_search.simple";
-      List.iter
-        (fun (a, v) ->
-          let states' = Nfa.next_set nfa states a in
+      for ai = s.nl - 1 downto 0 do
+        let succs = Graph.succ_ids s.g u ai in
+        if Array.length succs > 0 then begin
+          let states' = step s states ai in
           if states' <> [] then begin
-            if v = dst then begin
-              if List.exists (Nfa.is_final nfa) states' then begin
-                let steps = List.rev ((a, v) :: rev_steps) in
-                f { Path.src; steps }
+            let a = Graph.label_name s.g ai in
+            for i = Array.length succs - 1 downto 0 do
+              let v = succs.(i) in
+              if v = dst then begin
+                if List.exists (Nfa.is_final nfa) states' then begin
+                  let steps = List.rev ((a, v) :: rev_steps) in
+                  f { Path.src; steps }
+                end
               end
-            end
-            else if
-              (not visited.(v))
-              && (not (avoid_internal v))
-              && List.exists (fun q -> coreach.((v * m) + q)) states'
-            then begin
-              visited.(v) <- true;
-              Guard.descend "path_search.simple" (fun () ->
-                  go v states' ((a, v) :: rev_steps));
-              visited.(v) <- false;
-              Obs.Metrics.incr m_simple_backtracks
-            end
-          end)
-        (Graph.out g u)
+              else if
+                (not s.visited.(v)) && (not (avoid_internal v)) && live v states'
+              then begin
+                mark v;
+                Guard.descend "path_search.simple" (fun () ->
+                    go v states' ((a, v) :: rev_steps));
+                release ();
+                Obs.Metrics.incr m_simple_backtracks
+              end
+            done
+          end
+        end
+      done
     in
-    go src nfa.Nfa.initials []
+    (* a source none of whose initial product states reaches the
+       destination has no accepted path to it *)
+    if live src nfa.Nfa.initials then begin
+      mark src;
+      match go src nfa.Nfa.initials [] with
+      | () -> unmark s
+      | exception e ->
+        unmark s;
+        raise e
+    end
   end
 
-let find_simple ?avoid_internal g nfa ~src ~dst =
+let find_simple_with ?avoid_internal s ~src ~dst =
   let result = ref None in
   (try
-     iter_simple ?avoid_internal g nfa ~src ~dst (fun p ->
+     iter_simple_with ?avoid_internal s ~src ~dst (fun p ->
          result := Some p;
          raise Found)
    with Found -> ());
   !result
+
+let iter_simple ?avoid_internal g nfa ~src ~dst f =
+  iter_simple_with ?avoid_internal (simple_searcher g nfa) ~src ~dst f
+
+let find_simple ?avoid_internal g nfa ~src ~dst =
+  find_simple_with ?avoid_internal (simple_searcher g nfa) ~src ~dst
 
 let exists_simple ?avoid_internal g nfa ~src ~dst =
   find_simple ?avoid_internal g nfa ~src ~dst <> None
@@ -243,10 +341,11 @@ let all_simple g nfa ~src ~dst =
 
 let simple_reach_relation g nfa =
   let n = Graph.nnodes g in
+  let s = simple_searcher g nfa in
   let rel = Array.make_matrix (max n 1) (max n 1) false in
-  for u = 0 to n - 1 do
-    for v = 0 to n - 1 do
-      rel.(u).(v) <- exists_simple g nfa ~src:u ~dst:v
+  for v = 0 to n - 1 do
+    for u = 0 to n - 1 do
+      rel.(u).(v) <- find_simple_with s ~src:u ~dst:v <> None
     done
   done;
   rel

@@ -71,11 +71,47 @@ val exists_simple :
   dst:node ->
   bool
 
+(** {2 One searcher for many searches}
+
+    [iter_simple], [find_simple] and [exists_simple] build a fresh
+    searcher per call.  A searcher holds the automaton's transitions
+    interned by graph label id and, filled on first use, one backward
+    co-reachability table per destination (one product BFS each), so
+    searches that share a graph and an automaton share that work; a
+    source none of whose initial product states reaches the destination
+    is answered without a DFS.  A searcher runs one search at a time:
+    its scratch state is restored on every exit, including exceptions
+    raised by the callback and guard trips, but a callback may not start
+    a search on the same searcher ([Invalid_argument]). *)
+
+type simple_searcher
+
+val simple_searcher : Graph.t -> Nfa.t -> simple_searcher
+
+(** {!iter_simple} on a searcher. *)
+val iter_simple_with :
+  ?avoid_internal:(node -> bool) ->
+  simple_searcher ->
+  src:node ->
+  dst:node ->
+  (Path.t -> unit) ->
+  unit
+
+(** {!find_simple} on a searcher. *)
+val find_simple_with :
+  ?avoid_internal:(node -> bool) ->
+  simple_searcher ->
+  src:node ->
+  dst:node ->
+  Path.t option
+
 (** All accepted simple paths (naive enumeration; for tests/oracles). *)
 val all_simple : Graph.t -> Nfa.t -> src:node -> dst:node -> Path.t list
 
 (** [simple_reach_relation g nfa].(u).(v) iff an accepted simple path
-    (simple cycle when [u = v]) links [u] to [v]. *)
+    (simple cycle when [u = v]) links [u] to [v].  One searcher answers
+    all n² pairs, so the co-reachability work is one product BFS per
+    destination. *)
 val simple_reach_relation : Graph.t -> Nfa.t -> bool array array
 
 (** {1 Trails} *)

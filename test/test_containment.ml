@@ -98,6 +98,35 @@ let test_arity_mismatch () =
       ignore
         (decide Semantics.St (Crpq.parse "Q(x) :- x -[a]-> y") (Crpq.parse "x -[a]-> y")))
 
+(* Under st the Theorem 5.1 certificate comes before the bounded search:
+   this pair's search would refute 1302 expansions without finding a
+   counterexample, but the certificate settles it first.  The optimizer
+   pre-pass is off: its own certificates enumerate expansions. *)
+let m_expansions = Obs.Metrics.counter "containment.expansions_enumerated"
+
+let with_metrics f =
+  let was = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled was) f
+
+let without_optimizer f =
+  Fun.protect ~finally:Testutil.install_env_preprocessor (fun () ->
+      Analysis.uninstall_preprocessor ();
+      f ())
+
+let test_st_certificate_first () =
+  let q1 =
+    Crpq.parse
+      "Q() :- v0 -[(b|a)*]-> v0, v0 -[a?]-> v1, v2 -[a?b+]-> v0, v2 -[(a|b)?]-> v2"
+  and q2 = Crpq.parse "Q() :- v0 -[(b|a)*|a]-> v0, v0 -[a?|a]-> v1, v2 -[(a|b)?]-> v2" in
+  without_optimizer (fun () ->
+      with_metrics (fun () ->
+          let before = Obs.Metrics.counter_value m_expansions in
+          let v = decide Semantics.St q1 q2 in
+          check Alcotest.string "verdict" "contained" (Containment.verdict_name v);
+          check Alcotest.int "expansions enumerated" 0
+            (Obs.Metrics.counter_value m_expansions - before)))
+
 (* ------------------------------------------------------------------ *)
 (* Cross-validation properties                                         *)
 (* ------------------------------------------------------------------ *)
@@ -177,6 +206,72 @@ let prop_injective_implies_standard =
       ((not (decide Semantics.Q_inj)) || st)
       && ((not (decide Semantics.A_inj)) || st))
 
+(* The St order: certificate first, then the bounded search.  Both
+   directions of Qgen's contained-biased pairs: a certified pair has no
+   counterexample within the bound, and [decide] answers exactly like a
+   reference that runs the former order (the bounded search, then the
+   certificate when it is inconclusive) on every pair that reaches the
+   bounded search, Prop F.7's fallback included.  The optimizer pre-pass
+   is off, so both sides see the same queries. *)
+let certifies q1 q2 =
+  match Containment_qinj.decide q1 q2 with
+  | Containment_qinj.Qinj_contained -> true
+  | Containment_qinj.Qinj_not_contained _ | (exception Containment_qinj.Unsupported _)
+    ->
+    false
+
+let verdict_repr = function
+  | Containment.Contained -> "contained"
+  | Containment.Not_contained w ->
+    Format.asprintf "not-contained %a at %s" Cq.pp w.Containment.expansion.Expansion.cq
+      (String.concat "," (List.map string_of_int w.Containment.tuple))
+  | Containment.Unknown (Containment.Budget_exhausted e) ->
+    Printf.sprintf "unknown: %d expansions within %d" e.Containment.expansions_enumerated
+      e.Containment.bound_reached
+  | Containment.Unknown r -> "unknown: " ^ Containment.reason_to_string r
+
+let reaches_bounded_search q1 q2 =
+  match Containment.strategy_name Semantics.St q1 q2 with
+  | "bounded counterexample search" -> true
+  | "window algorithm (Prop F.7)" -> (
+    match Containment_f7.decide_st q1 q2 with
+    | _ -> false
+    | exception Containment_f7.Unsupported _ -> true)
+  | _ -> false
+
+let prop_st_certificate_first =
+  Testutil.qtest ~count:60 "st: certificate first, verdicts as before"
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| 0xC3F; seed |] in
+      let cls = if Random.State.bool rng then Crpq.Class_fin else Crpq.Class_crpq in
+      let q1, q2 =
+        Qgen.contained_pair ~rng ~labels:[ "a"; "b" ] ~nvars:3 ~natoms:2 ~cls ()
+      in
+      without_optimizer (fun () ->
+          List.for_all
+            (fun (l, r) ->
+              let bounded = Containment.bounded Semantics.St ~max_len:4 l r in
+              let certified = certifies l r in
+              (match certified, bounded with
+              | true, Containment.Not_contained w ->
+                QCheck2.Test.fail_reportf "%s vs %s: certified, but %a defeats it"
+                  (Crpq.to_string l) (Crpq.to_string r) Cq.pp
+                  w.Containment.expansion.Expansion.cq
+              | _ -> ());
+              (not (reaches_bounded_search l r))
+              ||
+              let want =
+                match bounded with
+                | Containment.Unknown _ when certified -> Containment.Contained
+                | v -> v
+              in
+              let got = verdict_repr (Containment.decide Semantics.St l r) in
+              got = verdict_repr want
+              || QCheck2.Test.fail_reportf "%s vs %s@.decide:    %s@.reference: %s"
+                   (Crpq.to_string l) (Crpq.to_string r) got (verdict_repr want))
+            [ (q1, q2); (q2, q1) ]))
+
 let () =
   Alcotest.run "containment"
     [
@@ -192,6 +287,7 @@ let () =
           Alcotest.test_case "strategies" `Quick test_strategies;
           Alcotest.test_case "edge semantics rejected" `Quick test_edge_semantics_rejected;
           Alcotest.test_case "arity mismatch" `Quick test_arity_mismatch;
+          Alcotest.test_case "st certificate first" `Quick test_st_certificate_first;
         ] );
       ( "properties",
         [
@@ -199,5 +295,6 @@ let () =
           prop_contained_sound;
           prop_lemma_f3;
           prop_injective_implies_standard;
+          prop_st_certificate_first;
         ] );
     ]

@@ -308,6 +308,84 @@ let test_enumeration_pin () =
       "2a0a4a1a5a2 2a0a2";
     ]
 
+(* The relation shares one searcher over all n² pairs: its
+   co-reachability work is one backward product BFS per destination, at
+   most n·m product states each. *)
+let m_product_states = Obs.Metrics.counter "path_search.product_states"
+
+let test_relation_work_bound () =
+  let was = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled was) (fun () ->
+      List.iter
+        (fun (name, g, re) ->
+          let nfa = Nfa.of_regex (Regex.parse re) in
+          let n = Graph.nnodes g and m = nfa.Nfa.nstates in
+          let before = Obs.Metrics.counter_value m_product_states in
+          ignore (Path_search.simple_reach_relation g nfa);
+          let states = Obs.Metrics.counter_value m_product_states - before in
+          if states > n * n * m then
+            Alcotest.failf "%s, %s: %d product states > n·(n·m) = %d" name re states
+              (n * n * m))
+        [
+          ("clique 6", Generate.clique ~nodes:6 ~label:"a", "a*");
+          ("clique 6", Generate.clique ~nodes:6 ~label:"a", "(aa)+");
+          ( "gnp seed 3",
+            Generate.gnp ~rng:(Random.State.make [| 3 |]) ~nodes:6
+              ~labels:[ "a"; "b" ] ~p:0.25,
+            "(a|b)*" );
+        ])
+
+(* The searcher's scratch state survives every way a search can end: a
+   witness ([Found]), an exception from the callback, and a guard trip
+   (chaos at [path_search.simple]).  After each, the same searcher must
+   answer the next search as a fresh one does. *)
+let test_searcher_reuse () =
+  let g =
+    Generate.gnp ~rng:(Random.State.make [| 3 |]) ~nodes:6 ~labels:[ "a"; "b" ]
+      ~p:0.25
+  in
+  let nfa = Nfa.of_regex (Regex.parse "(a|b)*") in
+  let s = Path_search.simple_searcher g nfa in
+  let all_with src dst =
+    let acc = ref [] in
+    Path_search.iter_simple_with s ~src ~dst (fun p -> acc := render_path p :: !acc);
+    List.rev !acc
+  in
+  let fresh src dst = List.map render_path (Path_search.all_simple g nfa ~src ~dst) in
+  let same what src dst =
+    Alcotest.(check (list string))
+      (Printf.sprintf "%s, then %d -> %d" what src dst)
+      (fresh src dst) (all_with src dst)
+  in
+  (* every pair through the shared searcher: each find stops on Found *)
+  for u = 0 to 5 do
+    for v = 0 to 5 do
+      Alcotest.(check (option string))
+        (Printf.sprintf "find %d -> %d" u v)
+        (Option.map render_path (Path_search.find_simple g nfa ~src:u ~dst:v))
+        (Option.map render_path (Path_search.find_simple_with s ~src:u ~dst:v))
+    done
+  done;
+  same "finds" 2 2;
+  (try
+     Path_search.iter_simple_with s ~src:2 ~dst:2 (fun p ->
+         if Path.length p > 3 then raise Exit)
+   with Exit -> ());
+  same "a callback exception" 0 3;
+  Guard.Chaos.arm [ ("path_search.simple", 4) ];
+  let tripped =
+    Fun.protect ~finally:Guard.Chaos.disarm (fun () ->
+        Guard.run (fun () -> all_with 2 2))
+  in
+  Alcotest.(check bool) "chaos tripped the search" true (Result.is_error tripped);
+  same "a chaos trip" 2 2;
+  Alcotest.check_raises "nested search"
+    (Invalid_argument "Path_search: nested search on one searcher") (fun () ->
+      Path_search.iter_simple_with s ~src:2 ~dst:2 (fun p ->
+          if Path.length p > 0 then ignore (all_with 0 3)));
+  same "a nested search" 0 3
+
 let () =
   Alcotest.run "path_search"
     [
@@ -322,6 +400,8 @@ let () =
             test_source_outside_graph;
           Alcotest.test_case "find_simple witness pins" `Quick test_witness_pins;
           Alcotest.test_case "iter_simple order pin" `Quick test_enumeration_pin;
+          Alcotest.test_case "relation work bound" `Quick test_relation_work_bound;
+          Alcotest.test_case "searcher reuse" `Quick test_searcher_reuse;
         ] );
       ( "properties",
         [

@@ -191,11 +191,10 @@ let simple_searcher g nfa =
     coreach = Array.make (max n 1) None; queue = Array.make (max (n * m) 1) 0;
     visited = Array.make (max n 1) false; path = Array.make (max n 1) 0; depth = 0 }
 
-let bit_get b i = Char.code (Bytes.unsafe_get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
+let bit_get b i = Char.code (Bytes.get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
 let bit_set b i =
-  Bytes.unsafe_set b (i lsr 3)
-    (Char.unsafe_chr (Char.code (Bytes.unsafe_get b (i lsr 3)) lor (1 lsl (i land 7))))
+  Bytes.set b (i lsr 3) (Char.chr (Char.code (Bytes.get b (i lsr 3)) lor (1 lsl (i land 7))))
 
 (* Backward product reachability towards (dst, some final state): a
    necessary condition for the pruned forward search. *)

@@ -213,10 +213,8 @@ let bounded ?guard sem ~max_len q1 q2 =
    same witness or budget exhaustion. *)
 let certified_search sem ~bound lhs rhs =
   let certified () =
-    match Containment_qinj.decide_union lhs rhs with
-    | Containment_qinj.Qinj_contained -> true
-    | Containment_qinj.Qinj_not_contained _ -> false
-    | exception Containment_qinj.Unsupported _ -> false
+    try Containment_qinj.certify_union lhs rhs
+    with Containment_qinj.Unsupported _ -> false
   in
   if sem = Semantics.St && certified () then Contained
   else search sem ~max_len:(Some bound) lhs rhs

@@ -500,7 +500,7 @@ type lhs = {
   node_of_var : (string, int) Hashtbl.t;
   nnodes : int;
   atom_path : int array array;  (** per atom: [|v0; i1; i2; v3|] *)
-  gsucc : int list array;
+  gsucc : (int * int) list array;  (** per node: (successor, edge id) *)
   (* (u, v) -> (atom id, edge position 0..2) *)
   owner : (int * int, int * int) Hashtbl.t;
 }
@@ -531,7 +531,7 @@ let build_lhs (d1 : Crpq.t) =
     (fun i path ->
       for pos = 0 to 2 do
         let u = path.(pos) and v = path.(pos + 1) in
-        gsucc.(u) <- v :: gsucc.(u);
+        gsucc.(u) <- (v, (3 * i) + pos) :: gsucc.(u);
         Hashtbl.replace owner (u, v) (i, pos)
       done)
     atom_path;
@@ -551,93 +551,113 @@ type mtype = {
   m_disjunct : int;
 }
 
-(* Enumerate the injective placements of disjunct [di] of the RHS into
-   the tripled graph.  [f] receives each completed placement. *)
-let iter_morphism_types lhs (aq : aq2) ~lhs_free ~(d2 : Crpq.t) ~di f =
-  let rhs_atom_ids =
-    Array.to_list
-      (Array.mapi (fun id (dj, a) -> (id, dj, a)) aq.atoms)
-    |> List.filter_map (fun (id, dj, a) -> if dj = di then Some (id, a) else None)
+(* A partial placement of a right disjunct into G: the node of each
+   right variable (-1 while unplaced), and which nodes (by a variable or a
+   path interior) and edges of G are taken.  It is persistent: a step
+   copies the one small array it changes, so a suspended enumeration
+   resumes from any earlier placement. *)
+type placement = {
+  p_vars : int array;
+  p_used : Bytes.t;  (** per node of G *)
+  p_edges : Bytes.t;  (** per edge of G, by edge id *)
+}
+
+let taken b i = Bytes.get b i <> '\000'
+
+let take b i =
+  let b = Bytes.copy b in
+  Bytes.set b i '\001';
+  b
+
+(* The injective placements of disjunct [di] of the RHS into the tripled
+   graph, one per pull.  Variables take the nodes in increasing order and
+   paths follow [gsucc], depth first.  The search is written with success
+   and failure continuations: a completed placement returns straight to
+   the puller together with the failure continuation of the last choice
+   point, which resumes the search from there. *)
+let morphism_types lhs (aq : aq2) ~lhs_free ~(d2 : Crpq.t) ~di : mtype Seq.t =
+  let var_ids = Hashtbl.create 8 in
+  List.iteri (fun i y -> Hashtbl.replace var_ids y i) (Crpq.vars d2);
+  let var y = Hashtbl.find var_ids y in
+  let rhs_atoms =
+    List.filter_map Fun.id
+      (Array.to_list
+         (Array.mapi
+            (fun id (dj, (a : Crpq.atom)) ->
+              if dj = di then Some (id, var a.Crpq.src, var a.Crpq.dst) else None)
+            aq.atoms))
   in
-  let varmap : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  (* owner of each G node: var name mapped there, or "" for path interior *)
-  let used = Array.make lhs.nnodes false in
-  (* seed free variables positionally *)
-  let ok = ref true in
-  List.iteri
-    (fun pos y ->
-      match List.nth_opt lhs_free pos with
-      | None -> ok := false
-      | Some target_node -> begin
-        match Hashtbl.find_opt varmap y with
-        | Some u -> if u <> target_node then ok := false
-        | None ->
-          if used.(target_node) then ok := false
-          else begin
-            Hashtbl.replace varmap y target_node;
-            used.(target_node) <- true
-          end
-      end)
-    d2.Crpq.free;
-  if !ok then begin
-    let assign_var y u k =
-      Hashtbl.replace varmap y u;
-      used.(u) <- true;
-      k ();
-      Hashtbl.remove varmap y;
-      used.(u) <- false
-    in
-    let with_var y k =
-      match Hashtbl.find_opt varmap y with
-      | Some u -> k u
-      | None ->
-        for u = 0 to lhs.nnodes - 1 do
-          if not used.(u) then assign_var y u (fun () -> k u)
-        done
-    in
-    (* simple paths (cycles when src = dst) from s to t over unused
-       interior nodes and unused edges; [k] receives the reversed node
-       list.  Edge-disjointness across the placed paths is required:
-       after the Remark C.2 rewrite, distinct right-hand atoms always
-       expand to distinct edges of E2, so their images cannot share an
-       edge of G. *)
-    let used_edge = Array.make (lhs.nnodes * lhs.nnodes) false in
-    let iter_paths s t k =
-      let rec go u rev_nodes =
-        List.iter
-          (fun v ->
-            let e = (u * lhs.nnodes) + v in
-            if not used_edge.(e) then begin
-              if v = t then begin
-                used_edge.(e) <- true;
-                k (v :: rev_nodes);
-                used_edge.(e) <- false
-              end
-              else if not used.(v) then begin
-                used_edge.(e) <- true;
-                used.(v) <- true;
-                go v (v :: rev_nodes);
-                used.(v) <- false;
-                used_edge.(e) <- false
-              end
-            end)
-          lhs.gsucc.(u)
+  let bind y u p =
+    let vars = Array.copy p.p_vars in
+    vars.(y) <- u;
+    { p with p_vars = vars; p_used = take p.p_used u }
+  in
+  (* seed the free variables positionally *)
+  let rec seed p frees targets =
+    match frees, targets with
+    | [], _ -> Some p
+    | _ :: _, [] -> None
+    | y :: frees, u :: targets ->
+      let u' = p.p_vars.(y) in
+      if u' >= 0 then if u' = u then seed p frees targets else None
+      else if taken p.p_used u then None
+      else seed (bind y u p) frees targets
+  in
+  let with_var p y k fail =
+    if p.p_vars.(y) >= 0 then k p p.p_vars.(y) fail
+    else begin
+      let rec from u =
+        if u = lhs.nnodes then fail ()
+        else if taken p.p_used u then from (u + 1)
+        else k (bind y u p) u (fun () -> from (u + 1))
       in
-      go s [ s ]
+      from 0
+    end
+  in
+  (* simple paths (cycles when src = dst) from u to t over untaken
+     interior nodes and untaken edges, with the reversed node list.
+     Edge-disjointness across the placed paths is required: after the
+     Remark C.2 rewrite, distinct right-hand atoms always expand to
+     distinct edges of E2, so their images cannot share an edge of G. *)
+  let rec paths p u t rev_nodes k fail =
+    let rec next = function
+      | [] -> fail ()
+      | (v, e) :: rest ->
+        let fail () = next rest in
+        if taken p.p_edges e then fail ()
+        else begin
+          let p = { p with p_edges = take p.p_edges e } in
+          if v = t then k p (v :: rev_nodes) fail
+          else if taken p.p_used v then fail ()
+          else paths { p with p_used = take p.p_used v } v t (v :: rev_nodes) k fail
+        end
     in
-    let rec place atoms acc =
-      Guard.checkpoint "qinj.types";
-      match atoms with
-      | [] -> f { m_paths = List.rev acc; m_disjunct = di }
-      | (id, (a : Crpq.atom)) :: rest ->
-        with_var a.Crpq.src (fun s ->
-            with_var a.Crpq.dst (fun t ->
-                iter_paths s t (fun rev_nodes ->
-                    let nodes = Array.of_list (List.rev rev_nodes) in
-                    place rest ({ r_atom = id; r_nodes = nodes } :: acc))))
-    in
-    place rhs_atom_ids []
-  end
+    next lhs.gsucc.(u)
+  in
+  let rec place p atoms acc fail =
+    Guard.checkpoint "qinj.types";
+    match atoms with
+    | [] -> Seq.Cons ({ m_paths = List.rev acc; m_disjunct = di }, fail)
+    | (id, src, dst) :: rest ->
+      with_var p src
+        (fun p s ->
+          with_var p dst (fun p t ->
+              paths p s t [ s ] (fun p rev_nodes ->
+                  let nodes = Array.of_list (List.rev rev_nodes) in
+                  place p rest ({ r_atom = id; r_nodes = nodes } :: acc))))
+        fail
+  in
+  let empty =
+    {
+      p_vars = Array.make (Hashtbl.length var_ids) (-1);
+      p_used = Bytes.make lhs.nnodes '\000';
+      p_edges = Bytes.make (3 * Array.length lhs.l_atoms) '\000';
+    }
+  in
+  fun () ->
+    match seed empty (List.map var d2.Crpq.free) lhs_free with
+    | None -> Seq.Nil
+    | Some p -> place p rhs_atoms [] Seq.empty
 
 (* ------------------------------------------------------------------ *)
 (* Compatibility: coverage analysis and templates                      *)
@@ -894,8 +914,17 @@ let counterexample_holds rhs_union (e : Expansion.expanded) =
   let g, tuple = Expansion.to_graph e in
   List.for_all (fun q2 -> not (Eval.check Semantics.Q_inj q2 g tuple)) rhs_union
 
-let decide_union_with_stats_impl ~max_tracker_states ~max_types
-    ~max_abstractions lhs_union rhs_union =
+(* How a left disjunct escapes the right union: by an expansion already
+   evaluated against it, or by an abstraction with no compatible
+   morphism type, given by its witness words. *)
+type refutation =
+  | Evaluated of Expansion.expanded
+  | Abstraction of Word.t array
+
+(* The first left disjunct that escapes the right union, with how, and
+   the search-space sizes. *)
+let first_refutation ~max_tracker_states ~max_types ~max_abstractions lhs_union
+    rhs_union =
   let arity =
     match lhs_union @ rhs_union with
     | [] -> invalid_arg "Containment_qinj.decide_union: empty union"
@@ -927,13 +956,23 @@ let decide_union_with_stats_impl ~max_tracker_states ~max_types
   in
   let aq2_opt = build_aq2 ~alphabet rhs_disjuncts in
   let abstractions_checked = ref 0 in
-  let morphism_types = ref 0 in
-  let decide_one (d1 : Crpq.t) =
-    (* returns Some counterexample / None if this disjunct is contained *)
+  let ntypes = ref 0 in
+  (* a value array depends only on A_Q2 and the language, so the tracker
+     runs once per language for every left atom of every left disjunct *)
+  let values = Hashtbl.create 16 in
+  let values_of aq lang =
+    match Hashtbl.find_opt values lang with
+    | Some vs -> vs
+    | None ->
+      let vs = Array.of_list (achievable_values ~max_tracker_states aq lang) in
+      Hashtbl.replace values lang vs;
+      vs
+  in
+  let refute (d1 : Crpq.t) =
     if Crpq.has_empty_language d1 then None
     else if d1.Crpq.atoms = [] then begin
       let e = Expansion.expand_unchecked d1 [||] in
-      if counterexample_holds rhs_union e then Some e else None
+      if counterexample_holds rhs_union e then Some (Evaluated e) else None
     end
     else begin
       match aq2_opt with
@@ -943,14 +982,11 @@ let decide_union_with_stats_impl ~max_tracker_states ~max_types
            directly (its verdict is representative only if none exists,
            otherwise evaluation decides). *)
         let e = shortest_expansion d1 in
-        if counterexample_holds rhs_union e then Some e else None
+        if counterexample_holds rhs_union e then Some (Evaluated e) else None
       | Some aq ->
         let lhs = build_lhs d1 in
         let values_per_atom =
-          Array.map
-            (fun (a : Crpq.atom) ->
-              Array.of_list (achievable_values ~max_tracker_states aq a.Crpq.lang))
-            lhs.l_atoms
+          Array.map (fun (a : Crpq.atom) -> values_of aq a.Crpq.lang) lhs.l_atoms
         in
         if Array.exists (fun vs -> Array.length vs = 0) values_per_atom then
           None (* some language empty: disjunct unsatisfiable *)
@@ -958,96 +994,111 @@ let decide_union_with_stats_impl ~max_tracker_states ~max_types
           let lhs_free =
             List.map (fun x -> Hashtbl.find lhs.node_of_var x) d1.Crpq.free
           in
-          (* enumerate morphism types, pre-analyzed into templates *)
-          let analyzed = ref [] in
-          List.iteri
-            (fun di d2 ->
-              iter_morphism_types lhs aq ~lhs_free ~d2 ~di (fun m ->
-                  incr morphism_types;
-                  Obs.Metrics.incr m_morphism_types;
-                  if !morphism_types > max_types then
-                    raise
-                      (Unsupported
-                         (Printf.sprintf "more than %d morphism types" max_types));
-                  match templates_of_type lhs aq m with
-                  | analysis -> analyzed := prepare aq analysis :: !analyzed
-                  | exception Incompatible_structure -> ()))
-            rhs_disjuncts;
-          let analyzed = !analyzed in
-          (* search the abstraction product for one with no compatible
-             type *)
+          (* the morphism types, analyzed into templates as the search
+             first asks for them and kept for the next abstractions *)
+          let types =
+            List.to_seq (List.mapi (fun di d2 -> (di, d2)) rhs_disjuncts)
+            |> Seq.concat_map (fun (di, d2) -> morphism_types lhs aq ~lhs_free ~d2 ~di)
+            |> Seq.filter_map (fun m ->
+                   incr ntypes;
+                   Obs.Metrics.incr m_morphism_types;
+                   if !ntypes > max_types then
+                     raise
+                       (Unsupported
+                          (Printf.sprintf "more than %d morphism types" max_types));
+                   match templates_of_type lhs aq m with
+                   | analysis -> Some (prepare aq analysis)
+                   | exception Incompatible_structure -> None)
+            |> Seq.memoize
+          in
+          (* the first abstraction of the product with no compatible type *)
           let natoms = Array.length lhs.l_atoms in
           let alpha = Array.make natoms values_per_atom.(0).(0) in
-          let found = ref None in
           let rec search ai =
             Guard.checkpoint "qinj.abstractions";
-            if !found <> None then ()
-            else if ai = natoms then begin
+            if ai = natoms then begin
               incr abstractions_checked;
               Obs.Metrics.incr m_abstractions_checked;
               if !abstractions_checked > max_abstractions then
                 raise
                   (Unsupported
                      (Printf.sprintf "more than %d abstractions" max_abstractions));
-              let some_compatible =
-                List.exists (compatible aq alpha) analyzed
-              in
-              if not some_compatible then begin
-                let words = Array.map (fun v -> v.v_witness) alpha in
-                found := Some (Expansion.expand_unchecked d1 words)
-              end
+              if Seq.exists (compatible aq alpha) types then None
+              else Some (Abstraction (Array.map (fun v -> v.v_witness) alpha))
             end
-            else
-              Array.iter
-                (fun v ->
-                  if !found = None then begin
-                    alpha.(ai) <- v;
-                    search (ai + 1)
-                  end)
-                values_per_atom.(ai)
+            else begin
+              let vs = values_per_atom.(ai) in
+              let rec try_value k =
+                if k = Array.length vs then None
+                else begin
+                  alpha.(ai) <- vs.(k);
+                  match search (ai + 1) with None -> try_value (k + 1) | found -> found
+                end
+              in
+              try_value 0
+            end
           in
-          search 0;
-          !found
+          search 0
         end
     end
   in
   let rec run = function
-    | [] -> Qinj_contained
-    | d1 :: rest -> begin
-      match decide_one d1 with
-      | Some e ->
-        if counterexample_holds rhs_union e then Qinj_not_contained e
-        else
-          raise
-            (Unsupported
-               "internal: abstraction counterexample failed re-verification")
-      | None -> run rest
-    end
+    | [] -> None
+    | d1 :: rest -> (
+      match refute d1 with Some r -> Some (d1, r) | None -> run rest)
   in
-  let result = run lhs_disjuncts in
-  ( result,
+  let refuted = run lhs_disjuncts in
+  ( refuted,
     {
       lhs_disjuncts = List.length lhs_disjuncts;
       rhs_disjuncts = List.length rhs_disjuncts;
       abstractions_checked = !abstractions_checked;
-      morphism_types = !morphism_types;
+      morphism_types = !ntypes;
       aq2_states = (match aq2_opt with Some aq -> aq.n | None -> 0);
     } )
 
-let decide_union_with_stats ?(max_tracker_states = 60000) ?(max_types = 50000)
-    ?(max_abstractions = 400000) lhs_union rhs_union =
-  if Obs.Trace.enabled () then
-    Obs.Trace.span "qinj.decide" (fun () ->
-        decide_union_with_stats_impl ~max_tracker_states ~max_types
-          ~max_abstractions lhs_union rhs_union)
-  else
-    decide_union_with_stats_impl ~max_tracker_states ~max_types
-      ~max_abstractions lhs_union rhs_union
+let traced f = if Obs.Trace.enabled () then Obs.Trace.span "qinj.decide" f else f ()
+
+let default_tracker_states = 60000
+
+let default_types = 50000
+
+let default_abstractions = 400000
+
+let decide_union_with_stats ?(max_tracker_states = default_tracker_states)
+    ?(max_types = default_types) ?(max_abstractions = default_abstractions) lhs_union
+    rhs_union =
+  traced (fun () ->
+      let refuted, stats =
+        first_refutation ~max_tracker_states ~max_types ~max_abstractions lhs_union
+          rhs_union
+      in
+      let result =
+        match refuted with
+        | None -> Qinj_contained
+        | Some (_, Evaluated e) -> Qinj_not_contained e
+        | Some (d1, Abstraction words) ->
+          let e = Expansion.expand_unchecked d1 words in
+          if counterexample_holds rhs_union e then Qinj_not_contained e
+          else
+            raise
+              (Unsupported "internal: abstraction counterexample failed re-verification")
+      in
+      (result, stats))
 
 let decide_union ?max_tracker_states ?max_types ?max_abstractions lhs rhs =
   fst
     (decide_union_with_stats ?max_tracker_states ?max_types ?max_abstractions
        lhs rhs)
+
+let certify_union ?(max_tracker_states = default_tracker_states)
+    ?(max_types = default_types) ?(max_abstractions = default_abstractions) lhs_union
+    rhs_union =
+  traced (fun () ->
+      Option.is_none
+        (fst
+           (first_refutation ~max_tracker_states ~max_types ~max_abstractions
+              lhs_union rhs_union)))
 
 let decide_with_stats ?max_tracker_states ?max_types ?max_abstractions q1 q2 =
   decide_union_with_stats ?max_tracker_states ?max_types ?max_abstractions

@@ -9,23 +9,31 @@
       sharing single-letter words are split into unions (Remark C.2);
     + the automaton {m \mathcal A_{Q_2}} is the disjoint union of the NFAs
       of the right-hand atoms, made complete and co-complete;
-    + for every left atom {m A}, an incremental tracker explores the
-      words of {m L(A)} and computes the set of achievable
-      {e abstraction values}: the four relations
+    + for every distinct language {m L} of a left atom, an incremental
+      tracker explores the words of {m L} and computes the set of
+      achievable {e abstraction values}: the four relations
       {m \langle q\text- q'\rangle}, {m \langle q + q'\rangle},
       {m \langle q\,|\!\cdot\!\cdot|\, q'\rangle},
       {m \langle \cdot\!\cdot q\text- q'\cdot\!\cdot\rangle} of Appendix
-      C, together with a witness word per value;
-    + {e morphism types} {m (H,h)} are enumerated as injective
-      placements of the right query into the graph {m G} that triples
-      every left atom (Figure 8);
+      C, together with a witness word per value.  A value depends only
+      on {m \mathcal A_{Q_2}} and {m L}, so the tracker runs once per
+      language per decision, for all left atoms and left disjuncts;
+    + {e morphism types} {m (H,h)} are the injective placements of the
+      right query into the graph {m G} that triples every left atom
+      (Figure 8).  They are enumerated on demand, as a lazy sequence
+      over persistent placement state;
     + each type yields per-left-atom membership {e templates} (the 17
       compatibility cases of Figure 9, derived from edge coverage), and
-      compatibility is a search over the {m \lambda} state labelling;
+      compatibility is a search over the {m \lambda} state labelling.
+      Types are analyzed as they come out of the enumeration and kept;
+      an abstraction is checked against the kept types in enumeration
+      order, and the enumeration advances only while none of them is
+      compatible;
     + {m Q_1 \not\subseteq Q_2} iff some abstraction (a product of
       achievable values) admits no compatible morphism type; the witness
       words then produce a concrete counterexample expansion, which is
-      re-verified by direct evaluation before being returned.
+      re-verified by direct evaluation before being returned
+      ({!certify_union} stops at the abstraction).
 
     Representation: a relation over the {m n} states of
     {m \mathcal A_{Q_2}} is {m n} packed bit rows of
@@ -42,7 +50,10 @@
     The abstraction spaces are exponential in the query sizes (the
     algorithm is PSPACE; this implementation materializes the guessed
     objects), so the deciders take explosion caps and raise
-    {!Unsupported} when exceeded. *)
+    {!Unsupported} when exceeded.  The caps count work actually done:
+    tracker states explored, morphism types pulled from the enumeration
+    and abstractions checked, and so do the [stats] fields and the
+    [qinj.*] counters. *)
 
 exception Unsupported of string
 
@@ -65,7 +76,7 @@ type stats = {
   lhs_disjuncts : int;
   rhs_disjuncts : int;
   abstractions_checked : int;
-  morphism_types : int;
+  morphism_types : int;  (** types the search pulled from the enumeration *)
   aq2_states : int;  (** states of the completed {m \mathcal A_{Q_2}}; 0 without right atoms *)
 }
 
@@ -89,6 +100,21 @@ val decide_union :
   Crpq.t list ->
   Crpq.t list ->
   result
+
+(** [certify_union lhs rhs] is [true] exactly when {!decide_union}
+    answers [Qinj_contained], but it stops at the first abstraction with
+    no compatible morphism type without building or re-verifying the
+    counterexample.  A left disjunct without atoms, or a right union
+    without satisfiable atoms, is still settled by evaluating an
+    expansion, since there evaluation is the decision.
+    @raise Unsupported as {!decide_union} does. *)
+val certify_union :
+  ?max_tracker_states:int ->
+  ?max_types:int ->
+  ?max_abstractions:int ->
+  Crpq.t list ->
+  Crpq.t list ->
+  bool
 
 val decide_union_with_stats :
   ?max_tracker_states:int ->

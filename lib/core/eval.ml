@@ -440,21 +440,37 @@ let hom_from_expansion sem (e : Expansion.expanded) g tuple =
         ~pattern ~target:g ()
   end
 
+(* Does [w] label a walk of [g]?  Every semantics maps the edges of an
+   expansion onto edges of [g], so no profile using another word maps. *)
+let labels_walk g w =
+  let step us a =
+    List.sort_uniq Int.compare (List.concat_map (fun u -> Graph.succ g u a) us)
+  in
+  List.fold_left step (Graph.nodes g) w <> []
+
 let check_via_expansions sem q g tuple =
   let n = Graph.nnodes g in
-  let max_len =
+  let max_len (a : Crpq.atom) =
     match sem with
-    | Semantics.St ->
-      let max_states =
-        List.fold_left
-          (fun m (a : Crpq.atom) -> max m (Crpq.nfa a.Crpq.lang).Nfa.nstates)
-          1 q.Crpq.atoms
-      in
-      n * max_states
+    (* a shortest walk labelled by L(A) visits each state of the product
+       of g with A's NFA at most once *)
+    | Semantics.St -> n * (Crpq.nfa a.Crpq.lang).Nfa.nstates
     | Semantics.A_inj | Semantics.Q_inj -> n
     (* a trail uses each edge at most once *)
     | Semantics.A_edge_inj | Semantics.Q_edge_inj -> Graph.nedges g
   in
-  List.exists
-    (fun e -> hom_from_expansion sem e g tuple)
-    (Expansion.expansions ~max_len q)
+  let words =
+    List.map
+      (fun (a : Crpq.atom) ->
+        List.filter (labels_walk g) (Regex.enumerate ~max_len:(max_len a) a.Crpq.lang))
+      q.Crpq.atoms
+  in
+  (* the profiles one at a time, up to the first expansion that maps *)
+  let rec exists_profile rev_words = function
+    | [] ->
+      Guard.checkpoint "expansion.profiles";
+      let e = Expansion.expand_unchecked q (Array.of_list (List.rev rev_words)) in
+      hom_from_expansion sem e g tuple
+    | ws :: rest -> List.exists (fun w -> exists_profile (w :: rev_words) rest) ws
+  in
+  exists_profile [] words

@@ -43,6 +43,11 @@ val set_preprocessor : (Semantics.t -> Crpq.t -> Crpq.t) -> unit
 
     Exponential, meant for small instances and cross-validation. *)
 
+(** [check_via_expansions sem q g tuple] tries the expansions of [q]
+    whose words label walks of [g] and are no longer than [sem] needs
+    (per atom {m n \cdot |A|} under St, {m n} under the node-injective
+    semantics, {m |E|} under the trail ones), one profile at a time, and
+    stops at the first that maps to [(g, tuple)]. *)
 val check_via_expansions :
   Semantics.t -> Crpq.t -> Graph.t -> Graph.node list -> bool
 

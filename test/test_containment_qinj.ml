@@ -174,8 +174,9 @@ let test_fuzz_vs_oracle () =
 
 (* The paper's q-inj examples, the Theorem 5.1 scaling pairs at sizes
    2-4, and 100 generated contained-biased pairs with 3-4 atoms.  For
-   every pair the verdict, the disjunct counts, the morphism-type count
-   and the number of tracker states explored are pinned; on contained
+   every pair the verdict, the disjunct counts, the number of morphism
+   types the search pulled and the number of tracker states explored
+   are pinned; on contained
    pairs also the number of abstractions checked.  Witnesses are not
    pinned (the order in which values are discovered may pick another
    one); they must refute the right query by the expansion oracle. *)
@@ -241,124 +242,124 @@ let corpus_line (name, q1, q2) =
 
 let corpus_pins =
   [|
-    "C 1 1 21 4 1";
+    "C 1 1 2 4 1";
     "N 1 1 42 4";
     "C 1 2 1 5 4";
     "N 2 1 0 0";
     "N 1 1 42 7";
     "N 1 2 1 6";
-    "C 2 2 5 14 21";
-    "C 1 1 3 6 2";
-    "C 1 1 21 7 4";
-    "C 1 1 3 4 1";
-    "C 2 2 9 16 8";
+    "C 2 2 4 14 21";
+    "C 1 1 1 6 2";
+    "C 1 1 2 7 4";
+    "C 1 1 1 4 1";
+    "C 2 2 2 9 8";
     "C 2 1 0 0 0";
-    "C 4 2 120 34 60";
-    "C 1 1 18 7 1";
-    "C 7 4 136 42 36";
-    "C 4 4 397 54 66";
-    "C 12 6 156 162 798";
-    "C 6 4 1239 67 27";
-    "C 4 2 109 60 225";
-    "C 8 4 204 108 240";
-    "C 4 2 66 36 18";
-    "C 10 10 232 72 45";
-    "C 2 2 18 30 150";
+    "C 4 2 8 14 60";
+    "C 1 1 1 7 1";
+    "C 7 4 7 19 36";
+    "C 4 4 4 22 66";
+    "C 12 6 60 42 798";
+    "C 6 4 6 14 27";
+    "C 4 2 4 25 225";
+    "C 8 4 10 15 240";
+    "C 4 2 4 12 18";
+    "C 10 10 14 17 45";
+    "C 2 2 2 12 150";
     "N 4 2 12 16";
-    "C 4 4 366 40 100";
-    "C 2 2 95 49 45";
-    "C 2 2 114 20 24";
-    "C 2 2 30 38 480";
-    "C 1 1 18 13 20";
-    "C 4 2 39 76 260";
-    "C 2 2 15 18 12";
-    "N 5 1 72 26";
-    "C 2 2 114 23 20";
-    "C 2 1 17 35 60";
-    "C 4 4 183 36 72";
+    "C 4 4 4 10 100";
+    "C 2 2 7 27 45";
+    "C 2 2 2 13 24";
+    "C 2 2 9 11 480";
+    "C 1 1 1 13 20";
+    "C 4 2 15 42 260";
+    "C 2 2 4 12 12";
+    "N 5 1 14 12";
+    "C 2 2 3 14 20";
+    "C 2 1 7 20 60";
+    "C 4 4 28 15 72";
     "N 12 4 32 10";
-    "C 4 4 183 40 72";
-    "C 8 4 156 120 225";
-    "C 2 2 9 17 20";
-    "C 16 26 2530 176 971";
-    "C 2 1 36 159 720";
-    "C 4 4 393 66 360";
-    "C 2 2 11 17 8";
-    "C 4 2 32 44 25";
-    "C 4 4 178 46 96";
-    "C 8 4 447 94 360";
-    "C 8 4 139 52 59";
-    "C 2 2 24 23 10";
-    "C 1 1 45 11 10";
-    "N 8 2 350 117";
-    "C 2 2 9 90 456";
-    "C 4 4 207 84 1344";
-    "C 4 4 85 30 30";
-    "C 2 1 136 87 320";
-    "C 2 1 42 51 203";
-    "C 8 2 132 108 288";
-    "C 4 4 144 24 12";
-    "C 4 4 639 32 10";
-    "C 2 2 8 17 10";
-    "C 3 2 36 21 4";
-    "C 9 4 161 50 49";
-    "C 1 1 7 14 20";
-    "C 4 4 120 44 144";
-    "C 8 8 272 72 72";
-    "C 16 4 267 95 67";
-    "C 4 4 32 94 300";
-    "C 2 2 102 19 20";
-    "C 4 6 80 48 60";
-    "C 12 4 153 92 71";
-    "C 10 4 283 142 984";
-    "C 2 3 32 34 72";
-    "C 7 7 183 67 80";
-    "C 4 4 88 36 25";
-    "C 5 5 196 38 12";
-    "C 4 4 93 50 150";
-    "C 2 2 150 31 40";
+    "C 4 4 4 10 72";
+    "C 8 4 61 23 225";
+    "C 2 2 2 11 20";
+    "C 16 26 15 20 971";
+    "C 2 1 2 82 720";
+    "C 4 4 4 21 360";
+    "C 2 2 3 10 8";
+    "C 4 2 12 16 25";
+    "C 4 4 4 19 96";
+    "C 8 4 14 17 360";
+    "C 8 4 7 13 59";
+    "C 2 2 9 13 10";
+    "C 1 1 1 11 10";
+    "N 8 2 40 31";
+    "C 2 2 2 48 456";
+    "C 4 4 9 21 1344";
+    "C 4 4 4 13 30";
+    "C 2 1 3 46 320";
+    "C 2 1 6 40 203";
+    "C 8 2 56 21 288";
+    "C 4 4 6 10 12";
+    "C 4 4 4 10 10";
+    "C 2 2 4 11 10";
+    "C 3 2 12 11 4";
+    "C 9 4 8 12 49";
+    "C 1 1 1 14 20";
+    "C 4 4 4 17 144";
+    "C 8 8 12 10 72";
+    "C 16 4 15 25 67";
+    "C 4 4 10 27 300";
+    "C 2 2 3 12 20";
+    "C 4 6 12 16 60";
+    "C 12 4 11 24 71";
+    "C 10 4 10 35 984";
+    "C 2 3 6 18 72";
+    "C 7 7 86 19 80";
+    "C 4 4 6 9 25";
+    "C 5 5 26 14 12";
+    "C 4 4 4 18 150";
+    "C 2 2 22 18 40";
     "N 2 1 20 8";
-    "C 6 6 40 55 41";
-    "C 1 1 6 25 260";
-    "C 1 2 15 9 4";
-    "C 8 4 73 44 23";
-    "C 1 1 2 20 11";
-    "C 1 1 3 57 820";
-    "C 10 2 78 114 582";
-    "C 6 2 165 67 156";
-    "C 2 2 108 27 20";
-    "C 13 6 564 1000 15614";
-    "N 5 2 13 31";
-    "C 4 4 48 42 60";
-    "C 2 2 109 37 144";
-    "C 2 2 9 14 4";
-    "C 3 4 18 41 24";
-    "C 12 4 379 70 31";
-    "C 2 2 8 37 180";
-    "C 1 1 56 6 1";
-    "C 10 14 307 93 100";
-    "C 2 2 9 23 15";
-    "C 9 8 1314 90 216";
-    "C 2 2 204 13 4";
-    "C 4 2 28 38 8";
+    "C 6 6 18 23 41";
+    "C 1 1 2 25 260";
+    "C 1 2 1 7 4";
+    "C 8 4 7 11 23";
+    "C 1 1 2 16 11";
+    "C 1 1 1 57 820";
+    "C 10 2 10 23 582";
+    "C 6 2 6 30 156";
+    "C 2 2 2 18 20";
+    "C 13 6 106 546 15614";
+    "N 5 2 8 12";
+    "C 4 4 15 15 60";
+    "C 2 2 2 22 144";
+    "C 2 2 2 8 4";
+    "C 3 4 4 31 24";
+    "C 12 4 11 17 31";
+    "C 2 2 6 20 180";
+    "C 1 1 1 4 1";
+    "C 10 14 75 21 100";
+    "C 2 2 2 14 15";
+    "C 9 8 9 14 216";
+    "C 2 2 3 8 4";
+    "C 4 2 8 14 8";
     "N 4 1 20 14";
-    "C 9 8 901 118 268";
-    "C 1 1 30 14 25";
-    "C 4 4 240 56 98";
-    "C 4 4 120 154 402";
-    "C 8 8 777 72 100";
-    "C 1 1 45 9 4";
-    "C 5 6 71 119 264";
-    "C 2 1 81 21 40";
-    "C 1 1 2 11 2";
+    "C 9 8 164 45 268";
+    "C 1 1 1 8 25";
+    "C 4 4 7 21 98";
+    "C 4 4 4 75 402";
+    "C 8 8 116 11 100";
+    "C 1 1 1 9 4";
+    "C 5 6 18 40 264";
+    "C 2 1 5 8 40";
+    "C 1 1 1 11 2";
     "C 1 1 2 15 15";
-    "C 14 14 272 125 150";
-    "C 8 2 43 56 59";
-    "C 2 2 40 28 96";
-    "C 1 1 30 11 6";
-    "C 12 4 855 140 370";
-    "C 8 8 241 48 49";
-    "C 2 2 8 25 22";
+    "C 14 14 17 28 150";
+    "C 8 2 7 14 59";
+    "C 2 2 17 17 96";
+    "C 1 1 1 11 6";
+    "C 12 4 12 24 370";
+    "C 8 8 7 7 49";
+    "C 2 2 6 16 22";
   |]
 
 (* The optimizer pre-pass (INJCRPQ_OPTIMIZE=on) would run nested
@@ -376,6 +377,47 @@ let test_corpus () =
             (Printf.sprintf "%s: %s <= %s" name (Crpq.to_string q1) (Crpq.to_string q2))
             corpus_pins.(i) (corpus_line pair))
         pairs)
+
+(* The tracker runs once per language in a decision: a left query that
+   repeats one language across two atoms explores as many states as the
+   one-atom query. *)
+let test_language_tracked_once () =
+  Obs.Metrics.set_enabled true;
+  let states q1 =
+    let before = Obs.Metrics.counter_value m_states in
+    (match decide q1 "x -[(a|b)+]-> y" with
+    | Containment_qinj.Qinj_contained -> ()
+    | Containment_qinj.Qinj_not_contained _ -> Alcotest.failf "%s: not contained" q1);
+    Obs.Metrics.counter_value m_states - before
+  in
+  let one = states "x -[(ab)+]-> y" in
+  check Alcotest.bool "one atom explores states" true (one > 0);
+  check Alcotest.int "two atoms, one language" one
+    (states "x -[(ab)+]-> y, y -[(ab)+]-> z")
+
+let m_evals = Obs.Metrics.counter "eval.evaluations"
+
+(* [certify_union] stops at the abstraction with no compatible type: on
+   a refuted pair it evaluates nothing, where [decide_union] builds the
+   counterexample and re-verifies it. *)
+let test_certify_union () =
+  Obs.Metrics.set_enabled true;
+  let lhs = [ Crpq.parse "x -[a+]-> y, x -[b]-> y" ]
+  and rhs = [ Crpq.parse "x -[a+]-> y, u -[b]-> v" ] in
+  let evaluations f =
+    let before = Obs.Metrics.counter_value m_evals in
+    let r = f () in
+    (r, Obs.Metrics.counter_value m_evals - before)
+  in
+  let certified, n = evaluations (fun () -> Containment_qinj.certify_union lhs rhs) in
+  check Alcotest.bool "47-style not certified" false certified;
+  check Alcotest.int "certify_union evaluates nothing" 0 n;
+  let verdict, n = evaluations (fun () -> Containment_qinj.decide_union lhs rhs) in
+  (match verdict with
+  | Containment_qinj.Qinj_not_contained _ -> ()
+  | Containment_qinj.Qinj_contained ->
+    Alcotest.fail "47-style: decide_union says contained");
+  check Alcotest.bool "decide_union re-verifies" true (n > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Word boundaries of the packed rows                                  *)
@@ -478,6 +520,9 @@ let () =
         [
           Alcotest.test_case "pinned verdicts and sizes" `Quick test_corpus;
           Alcotest.test_case "word boundaries" `Quick test_word_boundaries;
+          Alcotest.test_case "one tracker run per language" `Quick
+            test_language_tracked_once;
+          Alcotest.test_case "certify without a witness" `Quick test_certify_union;
         ] );
       ( "properties",
         [

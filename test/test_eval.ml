@@ -204,6 +204,42 @@ let test_nodes_outside_graph () =
         [ ([ 0; 2 ], true); ([ -1; 2 ], false); ([ 0; 7 ], false); ([ 3; 3 ], false) ])
     Semantics.all
 
+(* St instances whose full profile product, with every atom's words
+   bounded by the largest automaton, runs to 1022 x 1022 expansions: the
+   oracle must bound each atom by its own automaton, drop words that
+   label no walk of the graph and stop at the first profile that maps. *)
+let test_oracle_instances () =
+  let cases =
+    [
+      ( "Q(v0) :- v0 -[(c|b)+]-> v1, v1 -[(b|a)+]-> v1",
+        Graph.make ~nnodes:3
+          [
+            (0, "a", 2); (0, "b", 0); (1, "a", 2); (1, "b", 2); (1, "c", 2); (2, "b", 1);
+          ],
+        [ true; true; true ] );
+      ( "Q(v0) :- v0 -[b*(b|c)]-> v0, v0 -[(b|a)+]-> v1",
+        Graph.make ~nnodes:3
+          [
+            (0, "b", 0); (0, "b", 1); (0, "b", 2); (1, "a", 2); (1, "c", 0); (2, "a", 0);
+          ],
+        [ true; false; false ] );
+      ( "Q(v0) :- v1 -[c+(a|c)]-> v1, v1 -[(a|c)*]-> v0",
+        Graph.make ~nnodes:3 [],
+        [ false; false; false ] );
+    ]
+  in
+  List.iter
+    (fun (text, g, expected) ->
+      let q = Crpq.parse text in
+      List.iteri
+        (fun v expected ->
+          let name = Printf.sprintf "%s at %d" text v in
+          check Alcotest.bool (name ^ " oracle") expected
+            (Eval.check_via_expansions Semantics.St q g [ v ]);
+          check Alcotest.bool name expected (Eval.check Semantics.St q g [ v ]))
+        expected)
+    cases
+
 let () =
   Alcotest.run "eval"
     [
@@ -224,6 +260,7 @@ let () =
           Alcotest.test_case "arity mismatch" `Quick test_arity_mismatch;
           Alcotest.test_case "repeated free vars" `Quick test_repeated_free_vars;
           Alcotest.test_case "nodes outside the graph" `Quick test_nodes_outside_graph;
+          Alcotest.test_case "expansion oracle instances" `Quick test_oracle_instances;
         ] );
       ( "properties",
         [

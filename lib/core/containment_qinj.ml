@@ -500,7 +500,7 @@ type lhs = {
   node_of_var : (string, int) Hashtbl.t;
   nnodes : int;
   atom_path : int array array;  (** per atom: [|v0; i1; i2; v3|] *)
-  gsucc : (int * int) list array;  (** per node: (successor, edge id) *)
+  gsucc : int list array;
   (* (u, v) -> (atom id, edge position 0..2) *)
   owner : (int * int, int * int) Hashtbl.t;
 }
@@ -531,7 +531,7 @@ let build_lhs (d1 : Crpq.t) =
     (fun i path ->
       for pos = 0 to 2 do
         let u = path.(pos) and v = path.(pos + 1) in
-        gsucc.(u) <- (v, (3 * i) + pos) :: gsucc.(u);
+        gsucc.(u) <- v :: gsucc.(u);
         Hashtbl.replace owner (u, v) (i, pos)
       done)
     atom_path;
@@ -551,113 +551,86 @@ type mtype = {
   m_disjunct : int;
 }
 
+module Iset = Set.Make (Int)
+module Smap = Map.Make (String)
+
 (* A partial placement of a right disjunct into G: the node of each
-   right variable (-1 while unplaced), and which nodes (by a variable or a
-   path interior) and edges of G are taken.  It is persistent: a step
-   copies the one small array it changes, so a suspended enumeration
-   resumes from any earlier placement. *)
+   placed variable, the nodes taken (by a variable or a path interior)
+   and the edges taken, edge (u, v) as [u * nnodes + v].  It is
+   persistent, so a suspended enumeration resumes from it. *)
 type placement = {
-  p_vars : int array;
-  p_used : Bytes.t;  (** per node of G *)
-  p_edges : Bytes.t;  (** per edge of G, by edge id *)
+  p_vars : int Smap.t;
+  p_used : Iset.t;
+  p_edges : Iset.t;
 }
 
-let taken b i = Bytes.get b i <> '\000'
-
-let take b i =
-  let b = Bytes.copy b in
-  Bytes.set b i '\001';
-  b
-
 (* The injective placements of disjunct [di] of the RHS into the tripled
-   graph, one per pull.  Variables take the nodes in increasing order and
-   paths follow [gsucc], depth first.  The search is written with success
-   and failure continuations: a completed placement returns straight to
-   the puller together with the failure continuation of the last choice
-   point, which resumes the search from there. *)
-let morphism_types lhs (aq : aq2) ~lhs_free ~(d2 : Crpq.t) ~di : mtype Seq.t =
-  let var_ids = Hashtbl.create 8 in
-  List.iteri (fun i y -> Hashtbl.replace var_ids y i) (Crpq.vars d2);
-  let var y = Hashtbl.find var_ids y in
-  let rhs_atoms =
+   graph, enumerated as the sequence is forced.  Variables take the
+   nodes in increasing order and paths follow [gsucc], depth first. *)
+let morphism_types lhs (aq : aq2) ~lhs_free ~(d2 : Crpq.t) ~di =
+  let rhs_atom_ids =
     List.filter_map Fun.id
       (Array.to_list
-         (Array.mapi
-            (fun id (dj, (a : Crpq.atom)) ->
-              if dj = di then Some (id, var a.Crpq.src, var a.Crpq.dst) else None)
-            aq.atoms))
+         (Array.mapi (fun id (dj, a) -> if dj = di then Some (id, a) else None) aq.atoms))
   in
   let bind y u p =
-    let vars = Array.copy p.p_vars in
-    vars.(y) <- u;
-    { p with p_vars = vars; p_used = take p.p_used u }
+    { p with p_vars = Smap.add y u p.p_vars; p_used = Iset.add u p.p_used }
   in
   (* seed the free variables positionally *)
   let rec seed p frees targets =
     match frees, targets with
     | [], _ -> Some p
     | _ :: _, [] -> None
-    | y :: frees, u :: targets ->
-      let u' = p.p_vars.(y) in
-      if u' >= 0 then if u' = u then seed p frees targets else None
-      else if taken p.p_used u then None
-      else seed (bind y u p) frees targets
+    | y :: frees, u :: targets -> (
+      match Smap.find_opt y p.p_vars with
+      | Some u' -> if u' = u then seed p frees targets else None
+      | None -> if Iset.mem u p.p_used then None else seed (bind y u p) frees targets)
   in
-  let with_var p y k fail =
-    if p.p_vars.(y) >= 0 then k p p.p_vars.(y) fail
-    else begin
-      let rec from u =
-        if u = lhs.nnodes then fail ()
-        else if taken p.p_used u then from (u + 1)
-        else k (bind y u p) u (fun () -> from (u + 1))
-      in
-      from 0
-    end
+  let with_var p y k =
+    match Smap.find_opt y p.p_vars with
+    | Some u -> k p u
+    | None ->
+      Seq.concat_map
+        (fun u -> if Iset.mem u p.p_used then Seq.empty else k (bind y u p) u)
+        (Seq.init lhs.nnodes Fun.id)
   in
   (* simple paths (cycles when src = dst) from u to t over untaken
      interior nodes and untaken edges, with the reversed node list.
      Edge-disjointness across the placed paths is required: after the
      Remark C.2 rewrite, distinct right-hand atoms always expand to
      distinct edges of E2, so their images cannot share an edge of G. *)
-  let rec paths p u t rev_nodes k fail =
-    let rec next = function
-      | [] -> fail ()
-      | (v, e) :: rest ->
-        let fail () = next rest in
-        if taken p.p_edges e then fail ()
+  let rec paths p u t rev_nodes =
+    Seq.concat_map
+      (fun v ->
+        let e = (u * lhs.nnodes) + v in
+        if Iset.mem e p.p_edges then Seq.empty
         else begin
-          let p = { p with p_edges = take p.p_edges e } in
-          if v = t then k p (v :: rev_nodes) fail
-          else if taken p.p_used v then fail ()
-          else paths { p with p_used = take p.p_used v } v t (v :: rev_nodes) k fail
-        end
-    in
-    next lhs.gsucc.(u)
+          let p = { p with p_edges = Iset.add e p.p_edges } in
+          if v = t then Seq.return (p, v :: rev_nodes)
+          else if Iset.mem v p.p_used then Seq.empty
+          else paths { p with p_used = Iset.add v p.p_used } v t (v :: rev_nodes)
+        end)
+      (List.to_seq lhs.gsucc.(u))
   in
-  let rec place p atoms acc fail =
+  let rec place p atoms acc () =
     Guard.checkpoint "qinj.types";
     match atoms with
-    | [] -> Seq.Cons ({ m_paths = List.rev acc; m_disjunct = di }, fail)
-    | (id, src, dst) :: rest ->
-      with_var p src
+    | [] -> Seq.Cons ({ m_paths = List.rev acc; m_disjunct = di }, Seq.empty)
+    | (id, (a : Crpq.atom)) :: rest ->
+      with_var p a.Crpq.src
         (fun p s ->
-          with_var p dst (fun p t ->
-              paths p s t [ s ] (fun p rev_nodes ->
+          with_var p a.Crpq.dst (fun p t ->
+              Seq.concat_map
+                (fun (p, rev_nodes) ->
                   let nodes = Array.of_list (List.rev rev_nodes) in
-                  place p rest ({ r_atom = id; r_nodes = nodes } :: acc))))
-        fail
+                  place p rest ({ r_atom = id; r_nodes = nodes } :: acc))
+                (paths p s t [ s ])))
+        ()
   in
-  let empty =
-    {
-      p_vars = Array.make (Hashtbl.length var_ids) (-1);
-      p_used = Bytes.make lhs.nnodes '\000';
-      p_edges = Bytes.make (3 * Array.length lhs.l_atoms) '\000';
-    }
-  in
-  fun () ->
-    match seed empty (List.map var d2.Crpq.free) lhs_free with
-    | None -> Seq.Nil
-    | Some p -> place p rhs_atoms [] Seq.empty
+  let empty = { p_vars = Smap.empty; p_used = Iset.empty; p_edges = Iset.empty } in
+  match seed empty d2.Crpq.free lhs_free with
+  | None -> Seq.empty
+  | Some p -> place p rhs_atom_ids []
 
 (* ------------------------------------------------------------------ *)
 (* Compatibility: coverage analysis and templates                      *)
@@ -1091,13 +1064,12 @@ let decide_union ?max_tracker_states ?max_types ?max_abstractions lhs rhs =
     (decide_union_with_stats ?max_tracker_states ?max_types ?max_abstractions
        lhs rhs)
 
-let certify_union ?(max_tracker_states = default_tracker_states)
-    ?(max_types = default_types) ?(max_abstractions = default_abstractions) lhs_union
-    rhs_union =
+let certify_union lhs_union rhs_union =
   traced (fun () ->
       Option.is_none
         (fst
-           (first_refutation ~max_tracker_states ~max_types ~max_abstractions
+           (first_refutation ~max_tracker_states:default_tracker_states
+              ~max_types:default_types ~max_abstractions:default_abstractions
               lhs_union rhs_union)))
 
 let decide_with_stats ?max_tracker_states ?max_types ?max_abstractions q1 q2 =

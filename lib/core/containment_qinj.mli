@@ -102,19 +102,13 @@ val decide_union :
   result
 
 (** [certify_union lhs rhs] is [true] exactly when {!decide_union}
-    answers [Qinj_contained], but it stops at the first abstraction with
-    no compatible morphism type without building or re-verifying the
-    counterexample.  A left disjunct without atoms, or a right union
-    without satisfiable atoms, is still settled by evaluating an
-    expansion, since there evaluation is the decision.
+    answers [Qinj_contained] under the default caps, but it stops at the
+    first abstraction with no compatible morphism type without building
+    or re-verifying the counterexample.  A left disjunct without atoms,
+    or a right union without satisfiable atoms, is still settled by
+    evaluating an expansion, since there evaluation is the decision.
     @raise Unsupported as {!decide_union} does. *)
-val certify_union :
-  ?max_tracker_states:int ->
-  ?max_types:int ->
-  ?max_abstractions:int ->
-  Crpq.t list ->
-  Crpq.t list ->
-  bool
+val certify_union : Crpq.t list -> Crpq.t list -> bool
 
 val decide_union_with_stats :
   ?max_tracker_states:int ->

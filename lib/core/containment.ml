@@ -101,12 +101,12 @@ let check_arity q1 q2 =
    caller attribution makes their bulk-engine consumption visible as
    [bulk.dispatch.containment.*] (standard-semantics checks only ever
    reach the engine through [Eval] — references never switch). *)
-let defeats_all sem rhs (e : Expansion.expanded) =
-  let g, tuple = Expansion.to_graph e in
+let defeats_all rhs (g, tuple) =
   Bulk_rpq.with_caller "containment" (fun () ->
-      List.for_all (fun q2 -> not (Eval.check sem q2 g tuple)) rhs)
+      List.for_all (fun q2 -> not (Eval.check_prepared q2 g tuple)) rhs)
 
-let is_counterexample sem q2 e = defeats_all sem [ q2 ] e
+let is_counterexample sem q2 e =
+  defeats_all [ Eval.prepare sem q2 ] (Expansion.to_graph e)
 
 (* ------------------------------------------------------------------ *)
 (* CQ/CQ: homomorphism tests                                            *)
@@ -126,46 +126,58 @@ let cq_cq sem q1 q2 =
 (* Expansion-space search                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Returns the first expansion defeating every right query (if any)
-   together with the number of expansions enumerated before stopping —
-   the count feeds the budget-exhaustion verdict and the search
-   histograms.  Expansions are independent, so the scan fans out across
-   domains when [--jobs] is set; [Parmap.find_mapi] returns the
-   lowest-index match, so the chosen witness — and hence the verdict —
-   is the one the sequential scan finds. *)
-let search_expansions sem rhs expansions =
-  let check _ e =
+(* Returns the first candidate defeating every right query (if any), as
+   a witness, together with the number of candidates checked before
+   stopping — the count feeds the budget-exhaustion verdict and the
+   search histograms.  A candidate is checked on its graph; [named]
+   builds its expansion for a witness or an event only.  The right
+   queries are prepared once, before the first check.  Candidates are
+   independent, so the scan fans out across domains when [--jobs] is
+   set; [Parmap.find_mapi] returns the lowest-index match, so the chosen
+   witness — and hence the verdict — is the one the sequential scan
+   finds. *)
+let search_expansions ~graph_of ~named rhs candidates =
+  let rhs = match candidates with [] -> [] | _ :: _ -> Lazy.force rhs in
+  let pp_named c = Obs.Json.String (Format.asprintf "%a" Cq.pp (named c).Expansion.cq) in
+  let check _ c =
     Guard.checkpoint "containment.search";
     Obs.Metrics.incr m_expansions;
-    if defeats_all sem rhs e then begin
+    let ((_, tuple) as graph) = graph_of c in
+    if defeats_all rhs graph then begin
       Obs.Metrics.incr m_counterexamples;
       if Obs.Events.enabled () then
         Obs.Events.emit Obs.Events.Info "containment.counterexample"
-          [ ("expansion", Obs.Json.String (Format.asprintf "%a" Cq.pp e.Expansion.cq)) ];
-      Some { expansion = e; tuple = snd (Expansion.to_graph e) }
+          [ ("expansion", pp_named c) ];
+      Some { expansion = named c; tuple }
     end
     else begin
       if Obs.Events.enabled () then
         Obs.Events.emit Obs.Events.Debug "containment.expansion_refuted"
-          [ ("expansion", Obs.Json.String (Format.asprintf "%a" Cq.pp e.Expansion.cq)) ];
+          [ ("expansion", pp_named c) ];
       None
     end
   in
-  match Parmap.find_mapi check expansions with
+  match Parmap.find_mapi check candidates with
   | Some (i, w) ->
     Obs.Metrics.observe h_expansions (i + 1);
     (Some w, i + 1)
   | None ->
-    let tried = List.length expansions in
+    let tried = List.length candidates in
     Obs.Metrics.observe h_expansions tried;
     (None, tried)
 
-let star_expansions sem max_len q =
+(* The ★-expansions of one ε-free disjunct, searched; a-inj ones as
+   graphs (see {!Expansion.ainj_candidates}). *)
+let search_disjunct sem max_len rhs d =
+  let expanded = search_expansions ~graph_of:Expansion.to_graph ~named:Fun.id rhs in
   match sem, max_len with
-  | (Semantics.St | Semantics.Q_inj), None -> Expansion.finite_expansions q
-  | Semantics.A_inj, None -> Expansion.finite_ainj_expansions q
-  | (Semantics.St | Semantics.Q_inj), Some max_len -> Expansion.expansions ~max_len q
-  | Semantics.A_inj, Some max_len -> Expansion.ainj_expansions ~max_len q
+  | Semantics.A_inj, _ ->
+    search_expansions ~graph_of:Expansion.candidate_graph
+      ~named:Expansion.candidate_expansion rhs
+      (Expansion.ainj_candidates ?max_len d)
+  | (Semantics.St | Semantics.Q_inj), None -> expanded (Expansion.finite_expansions d)
+  | (Semantics.St | Semantics.Q_inj), Some max_len ->
+    expanded (Expansion.expansions ~max_len d)
   | (Semantics.A_edge_inj | Semantics.Q_edge_inj), _ -> assert false
 
 (* Expansions are computed per ε-free disjunct (lazily, so a witness in
@@ -173,6 +185,7 @@ let star_expansions sem max_len q =
    because ε-atoms are already folded into disjuncts. *)
 let search sem ~max_len lhs rhs =
   node_semantics_only sem;
+  let rhs = lazy (List.map (Eval.prepare sem) rhs) in
   let total = ref 0 in
   let disjuncts =
     Seq.concat_map
@@ -182,7 +195,7 @@ let search sem ~max_len lhs rhs =
   let witness =
     Seq.find_map
       (fun d ->
-        let w, tried = search_expansions sem rhs (star_expansions sem max_len d) in
+        let w, tried = search_disjunct sem max_len rhs d in
         total := !total + tried;
         w)
       disjuncts

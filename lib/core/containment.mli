@@ -100,9 +100,12 @@ val cq_cq : Semantics.t -> Cq.t -> Cq.t -> bool
     must be in CRPQ{^ fin}), else those with per-atom words of length at
     most [max_len] — and return the first that defeats {e every} right
     query.  Exhausting the space gives [Contained] for [None] and
-    [Unknown (Budget_exhausted _)] otherwise.  Each expansion passes the
-    [containment.search] guard checkpoint.  No guard boundary of its
-    own.
+    [Unknown (Budget_exhausted _)] otherwise.  Each right query is
+    prepared once per search ({!Eval.prepare}), before the first
+    expansion is checked; a-inj expansions are checked as graphs
+    ({!Expansion.ainj_candidates}) and named only for the witness.  Each
+    expansion passes the [containment.search] guard checkpoint.  No
+    guard boundary of its own.
     @raise Invalid_argument on edge semantics. *)
 val search :
   Semantics.t -> max_len:int option -> Crpq.t list -> Crpq.t list -> verdict

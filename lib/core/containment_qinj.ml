@@ -21,6 +21,14 @@ let m_abstractions_checked = Obs.Metrics.counter "qinj.abstractions_checked"
 
 let m_morphism_types = Obs.Metrics.counter "qinj.morphism_types"
 
+(* The explosion caps: tracker states explored per language, morphism
+   types pulled and abstractions checked per decision. *)
+let max_tracker_states = 60000
+
+let max_types = 50000
+
+let max_abstractions = 400000
+
 (* ------------------------------------------------------------------ *)
 (* Packed bit rows over the states of A_Q2                             *)
 (* ------------------------------------------------------------------ *)
@@ -173,13 +181,16 @@ let split_parallel_letters q =
 
 (* What the tracker needs about one letter [a], computed once per
    decision: Δa as packed rows, a chunk table that turns r ∘ Δa into one
-   row OR per nonzero chunk of r, and the image of the initial states. *)
+   row OR per nonzero chunk of r, and the image of the initial states.
+   A decision reads few of the table's entries, so each is filled on
+   first use. *)
 type letter_tables = {
   delta : int array;  (** Δa: [n] rows *)
   table : int array;
-      (** entry [(g, v)], [nw] words at [((g lsl chunk_bits) + v) * nw]:
+      (** entry [e = (g lsl chunk_bits) + v], [nw] words at [e * nw]:
           the union of the Δa rows of the states [g * chunk_bits + b]
-          for the bits [b] set in [v] *)
+          for the bits [b] set in [v]; all zero until filled *)
+  filled : Bytes.t;  (** one byte per entry: ['\001'] once filled *)
   img_init : int array;  (** one row: Δa-successors of the initial states *)
 }
 
@@ -204,23 +215,29 @@ let letter_tables ~n ~nw (completed : Nfa.t) initials letter =
     (fun q out ->
       List.iter (fun (x, q') -> if String.equal x letter then Bits.add delta (q * nw) q') out)
     completed.Nfa.delta;
-  let size = 1 lsl Bits.chunk_bits in
-  let groups = (n + Bits.chunk_bits - 1) / Bits.chunk_bits in
-  let table = Array.make (groups * size * nw) 0 in
-  for g = 0 to groups - 1 do
-    for v = 1 to size - 1 do
-      (* entry v = entry (v without its lowest bit) ∪ the row of that bit *)
-      let low = v land -v in
-      let rec bit b = if 1 lsl b = low then b else bit (b + 1) in
-      let e = ((g lsl Bits.chunk_bits) + v) * nw in
-      Bits.or_into ~nw table (((g lsl Bits.chunk_bits) + (v lxor low)) * nw) table e;
-      let q = (g * Bits.chunk_bits) + bit 0 in
-      if q < n then Bits.or_into ~nw delta (q * nw) table e
-    done
-  done;
+  let entries = ((n + Bits.chunk_bits - 1) / Bits.chunk_bits) lsl Bits.chunk_bits in
   let img_init = Array.make nw 0 in
   List.iter (fun q -> Bits.or_into ~nw delta (q * nw) img_init 0) initials;
-  { delta; table; img_init }
+  {
+    delta;
+    table = Array.make (entries * nw) 0;
+    filled = Bytes.make entries '\000';
+    img_init;
+  }
+
+(* the table entry [e] of [lt], filled on first use *)
+let entry ~nw lt e =
+  if Bytes.get lt.filled e = '\000' then begin
+    let g = e lsr Bits.chunk_bits and v = e land ((1 lsl Bits.chunk_bits) - 1) in
+    let n = Array.length lt.delta / nw in
+    for b = 0 to Bits.chunk_bits - 1 do
+      let q = (g * Bits.chunk_bits) + b in
+      if v land (1 lsl b) <> 0 && q < n then
+        Bits.or_into ~nw lt.delta (q * nw) lt.table (e * nw)
+    done;
+    Bytes.set lt.filled e '\001'
+  end;
+  e * nw
 
 let build_aq2 ~alphabet rhs_disjuncts =
   let atoms =
@@ -277,14 +294,15 @@ let build_aq2 ~alphabet rhs_disjuncts =
   end
 
 (* [dst]'s row at [drow] ∪= the Δa rows of the states in [word], whose
-   lowest chunk is chunk group [g]: one table row per nonzero chunk,
+   lowest chunk is chunk group [g]: one table entry per nonzero chunk,
    stopping at the last one ([lsr] brings the sign bit down like any
    other bit) *)
-let rec or_image ~nw table word g dst drow =
+let rec or_image ~nw lt word g dst drow =
   if word <> 0 then begin
     let v = word land ((1 lsl Bits.chunk_bits) - 1) in
-    if v <> 0 then Bits.or_into ~nw table (((g lsl Bits.chunk_bits) + v) * nw) dst drow;
-    or_image ~nw table (word lsr Bits.chunk_bits) (g + 1) dst drow
+    if v <> 0 then
+      Bits.or_into ~nw lt.table (entry ~nw lt ((g lsl Bits.chunk_bits) + v)) dst drow;
+    or_image ~nw lt (word lsr Bits.chunk_bits) (g + 1) dst drow
   end
 
 (* [dst]'s relation at [doff] (all zero) becomes [src]'s relation at
@@ -293,7 +311,7 @@ let compose (aq : aq2) lt src soff dst doff =
   let nw = aq.nw in
   for q = 0 to aq.n - 1 do
     for j = 0 to nw - 1 do
-      or_image ~nw lt.table src.(soff + (q * nw) + j) (j * Bits.chunks) dst (doff + (q * nw))
+      or_image ~nw lt src.(soff + (q * nw) + j) (j * Bits.chunks) dst (doff + (q * nw))
     done
   done
 
@@ -391,7 +409,7 @@ let rel_offset (aq : aq2) kind =
 
 (* All abstraction values achievable by words of L(A), with witnesses,
    in the order the breadth-first search discovers them. *)
-let achievable_values ~max_tracker_states (aq : aq2) (lang : Regex.t) =
+let achievable_values (aq : aq2) (lang : Regex.t) =
   let lnfa = Crpq.nfa lang in
   let n = aq.n and nw = aq.nw in
   let letters = Regex.alphabet lang in
@@ -868,6 +886,22 @@ and try_label ~nw alpha p k q =
 
 let compatible (aq : aq2) alpha p = assign ~nw:aq.nw alpha p 0
 
+(* [compatible] only asks that rows meet, so it is monotone in the bits
+   of a value: a type compatible with an abstraction stays compatible
+   when one of its values grows.  Every value contains a ⊆-minimal one,
+   so the product of the minimal values refutes whenever the full
+   product does. *)
+let subset u v =
+  let rec go i = i = Array.length u || (u.(i) land lnot v.(i) = 0 && go (i + 1)) in
+  go 0
+
+(* the ⊆-minimal values of [vs] (which are distinct), in their order *)
+let minimal_values vs =
+  Array.of_list
+    (List.filter
+       (fun v -> not (Array.exists (fun u -> u != v && subset u.v_rels v.v_rels) vs))
+       (Array.to_list vs))
+
 (* ------------------------------------------------------------------ *)
 (* Main decision procedure                                             *)
 (* ------------------------------------------------------------------ *)
@@ -894,10 +928,15 @@ type refutation =
   | Evaluated of Expansion.expanded
   | Abstraction of Word.t array
 
+(* How a disjunct's abstractions are searched: [`Certify] over the
+   minimal values only; [`Witness] over them first and, only if that
+   refutes, over the full product in its order, for the first refuting
+   abstraction there; [`Full] over the full product alone. *)
+type search = [ `Certify | `Witness | `Full ]
+
 (* The first left disjunct that escapes the right union, with how, and
    the search-space sizes. *)
-let first_refutation ~max_tracker_states ~max_types ~max_abstractions lhs_union
-    rhs_union =
+let first_refutation ~(search : search) lhs_union rhs_union =
   let arity =
     match lhs_union @ rhs_union with
     | [] -> invalid_arg "Containment_qinj.decide_union: empty union"
@@ -931,13 +970,15 @@ let first_refutation ~max_tracker_states ~max_types ~max_abstractions lhs_union
   let abstractions_checked = ref 0 in
   let ntypes = ref 0 in
   (* a value array depends only on A_Q2 and the language, so the tracker
-     runs once per language for every left atom of every left disjunct *)
+     runs once per language for every left atom of every left disjunct;
+     the minimal values come with it *)
   let values = Hashtbl.create 16 in
   let values_of aq lang =
     match Hashtbl.find_opt values lang with
     | Some vs -> vs
     | None ->
-      let vs = Array.of_list (achievable_values ~max_tracker_states aq lang) in
+      let all = Array.of_list (achievable_values aq lang) in
+      let vs = (all, minimal_values all) in
       Hashtbl.replace values lang vs;
       vs
   in
@@ -961,7 +1002,7 @@ let first_refutation ~max_tracker_states ~max_types ~max_abstractions lhs_union
         let values_per_atom =
           Array.map (fun (a : Crpq.atom) -> values_of aq a.Crpq.lang) lhs.l_atoms
         in
-        if Array.exists (fun vs -> Array.length vs = 0) values_per_atom then
+        if Array.exists (fun (vs, _) -> Array.length vs = 0) values_per_atom then
           None (* some language empty: disjunct unsatisfiable *)
         else begin
           let lhs_free =
@@ -986,8 +1027,8 @@ let first_refutation ~max_tracker_states ~max_types ~max_abstractions lhs_union
           in
           (* the first abstraction of the product with no compatible type *)
           let natoms = Array.length lhs.l_atoms in
-          let alpha = Array.make natoms values_per_atom.(0).(0) in
-          let rec search ai =
+          let alpha = Array.make natoms (fst values_per_atom.(0)).(0) in
+          let rec first values_per_atom ai =
             Guard.checkpoint "qinj.abstractions";
             if ai = natoms then begin
               incr abstractions_checked;
@@ -1005,13 +1046,21 @@ let first_refutation ~max_tracker_states ~max_types ~max_abstractions lhs_union
                 if k = Array.length vs then None
                 else begin
                   alpha.(ai) <- vs.(k);
-                  match search (ai + 1) with None -> try_value (k + 1) | found -> found
+                  match first values_per_atom (ai + 1) with
+                  | None -> try_value (k + 1)
+                  | found -> found
                 end
               in
               try_value 0
             end
           in
-          search 0
+          let full () = first (Array.map fst values_per_atom) 0 in
+          match search with
+          | `Full -> full ()
+          | (`Certify | `Witness) as search -> (
+            match first (Array.map snd values_per_atom) 0 with
+            | Some _ when search = `Witness -> full ()
+            | found -> found)
         end
     end
   in
@@ -1032,20 +1081,9 @@ let first_refutation ~max_tracker_states ~max_types ~max_abstractions lhs_union
 
 let traced f = if Obs.Trace.enabled () then Obs.Trace.span "qinj.decide" f else f ()
 
-let default_tracker_states = 60000
-
-let default_types = 50000
-
-let default_abstractions = 400000
-
-let decide_union_with_stats ?(max_tracker_states = default_tracker_states)
-    ?(max_types = default_types) ?(max_abstractions = default_abstractions) lhs_union
-    rhs_union =
+let decide_search search lhs_union rhs_union =
   traced (fun () ->
-      let refuted, stats =
-        first_refutation ~max_tracker_states ~max_types ~max_abstractions lhs_union
-          rhs_union
-      in
+      let refuted, stats = first_refutation ~search lhs_union rhs_union in
       let result =
         match refuted with
         | None -> Qinj_contained
@@ -1059,22 +1097,16 @@ let decide_union_with_stats ?(max_tracker_states = default_tracker_states)
       in
       (result, stats))
 
-let decide_union ?max_tracker_states ?max_types ?max_abstractions lhs rhs =
-  fst
-    (decide_union_with_stats ?max_tracker_states ?max_types ?max_abstractions
-       lhs rhs)
+let decide_union_with_stats = decide_search `Witness
+
+let decide_union lhs rhs = fst (decide_union_with_stats lhs rhs)
 
 let certify_union lhs_union rhs_union =
   traced (fun () ->
-      Option.is_none
-        (fst
-           (first_refutation ~max_tracker_states:default_tracker_states
-              ~max_types:default_types ~max_abstractions:default_abstractions
-              lhs_union rhs_union)))
+      Option.is_none (fst (first_refutation ~search:`Certify lhs_union rhs_union)))
 
-let decide_with_stats ?max_tracker_states ?max_types ?max_abstractions q1 q2 =
-  decide_union_with_stats ?max_tracker_states ?max_types ?max_abstractions
-    [ q1 ] [ q2 ]
+let decide_with_stats q1 q2 = decide_union_with_stats [ q1 ] [ q2 ]
 
-let decide ?max_tracker_states ?max_types ?max_abstractions q1 q2 =
-  fst (decide_with_stats ?max_tracker_states ?max_types ?max_abstractions q1 q2)
+let decide q1 q2 = fst (decide_with_stats q1 q2)
+
+let decide_full_search q1 q2 = decide_search `Full [ q1 ] [ q2 ]

@@ -33,15 +33,30 @@
       achievable values) admits no compatible morphism type; the witness
       words then produce a concrete counterexample expansion, which is
       re-verified by direct evaluation before being returned
-      ({!certify_union} stops at the abstraction).
+      ({!certify_union} stops at the abstraction);
+    + compatibility only asks that relation rows meet the required
+      states, so it is monotone in the bits of a value: if a type is
+      compatible with an abstraction, it stays compatible when any value
+      grows (under ⊆ on each of the four relations).  Every achievable
+      value contains a ⊆-minimal achievable one, so some abstraction
+      admits no compatible type iff some abstraction of minimal values
+      does.  Each left disjunct is therefore searched over the product
+      of the minimal values first, which settles containment; only when
+      that search refutes is the full product searched, in its order,
+      for the first refuting abstraction there, so the witness is the
+      one the full search alone returns.  The morphism types pulled are
+      the same either way: the first type compatible with an abstraction
+      comes no later than the first compatible with a minimal
+      abstraction below it.
 
     Representation: a relation over the {m n} states of
     {m \mathcal A_{Q_2}} is {m n} packed bit rows of
     {m \lceil n/63 \rceil} native ints (on 64-bit platforms).  Per letter
-    {m a}, the decider builds once {m \Delta_a} as rows, a table of unions
-    of {m \Delta_a} rows per 9-bit chunk (so {m r \circ \Delta_a} is one
-    row OR per nonzero chunk of {m r}) and the image of the initial
-    states; per right atom, masks of its initial and final states.  The
+    {m a}, the decider builds once {m \Delta_a} as rows and the image of
+    the initial states, and keeps a table of unions of {m \Delta_a} rows
+    per 9-bit chunk, each entry filled on first use (so
+    {m r \circ \Delta_a} is one row OR per nonzero chunk of {m r}); per
+    right atom, masks of its initial and final states.  The
     tracker keeps its states as runs of words in one arena, in discovery
     order, with an open-addressing index over them, and the achievable
     values of an atom come in that breadth-first order, so each witness
@@ -50,10 +65,12 @@
     The abstraction spaces are exponential in the query sizes (the
     algorithm is PSPACE; this implementation materializes the guessed
     objects), so the deciders take explosion caps and raise
-    {!Unsupported} when exceeded.  The caps count work actually done:
-    tracker states explored, morphism types pulled from the enumeration
-    and abstractions checked, and so do the [stats] fields and the
-    [qinj.*] counters. *)
+    {!Unsupported} when exceeded: 60,000 tracker states per language,
+    50,000 morphism types and 400,000 abstractions per decision.  The caps
+    count work actually done: tracker states explored, morphism types
+    pulled from the enumeration and abstractions checked (in both
+    searches), and so do the [stats] fields and the [qinj.*]
+    counters. *)
 
 exception Unsupported of string
 
@@ -62,13 +79,7 @@ type result =
   | Qinj_not_contained of Expansion.expanded
       (** counterexample expansion of {m Q_1}, verified *)
 
-val decide :
-  ?max_tracker_states:int ->
-  ?max_types:int ->
-  ?max_abstractions:int ->
-  Crpq.t ->
-  Crpq.t ->
-  result
+val decide : Crpq.t -> Crpq.t -> result
 
 (** {1 Introspection} (for tests and benchmarks) *)
 
@@ -81,42 +92,31 @@ type stats = {
 }
 
 (** Same as {!decide} but also reports search-space sizes. *)
-val decide_with_stats :
-  ?max_tracker_states:int ->
-  ?max_types:int ->
-  ?max_abstractions:int ->
-  Crpq.t ->
-  Crpq.t ->
-  result * stats
+val decide_with_stats : Crpq.t -> Crpq.t -> result * stats
 
 (** Containment between unions of CRPQs:
     {m \bigvee_i P_i \subseteq_{q\text{-}inj} \bigvee_j R_j}.  The
     machinery handles unions natively (counterexamples must defeat every
     right disjunct; every left disjunct must be covered). *)
-val decide_union :
-  ?max_tracker_states:int ->
-  ?max_types:int ->
-  ?max_abstractions:int ->
-  Crpq.t list ->
-  Crpq.t list ->
-  result
+val decide_union : Crpq.t list -> Crpq.t list -> result
 
 (** [certify_union lhs rhs] is [true] exactly when {!decide_union}
-    answers [Qinj_contained] under the default caps, but it stops at the
-    first abstraction with no compatible morphism type without building
-    or re-verifying the counterexample.  A left disjunct without atoms,
+    answers [Qinj_contained], but it stops at the first abstraction of
+    minimal values with no compatible morphism type, without searching
+    the full product for {!decide_union}'s witness, building it or
+    re-verifying it.  A left disjunct without atoms,
     or a right union without satisfiable atoms, is still settled by
     evaluating an expansion, since there evaluation is the decision.
     @raise Unsupported as {!decide_union} does. *)
 val certify_union : Crpq.t list -> Crpq.t list -> bool
 
-val decide_union_with_stats :
-  ?max_tracker_states:int ->
-  ?max_types:int ->
-  ?max_abstractions:int ->
-  Crpq.t list ->
-  Crpq.t list ->
-  result * stats
+val decide_union_with_stats : Crpq.t list -> Crpq.t list -> result * stats
+
+(** Same as {!decide_with_stats}, but every abstraction search runs
+    over the full product of achievable values, without the minimal
+    values first.  A reference for tests: it reaches the same verdict
+    and witness, and pulls the same morphism types. *)
+val decide_full_search : Crpq.t -> Crpq.t -> result * stats
 
 (** Normalization of Remark C.1: concatenate away non-free variables with
     in-degree 1 and out-degree 1 incident to two distinct atoms. *)

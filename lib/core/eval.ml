@@ -10,69 +10,95 @@ let m_paths = Obs.Metrics.counter "eval.paths_threaded"
 let m_evals = Obs.Metrics.counter "eval.evaluations"
 
 (* ------------------------------------------------------------------ *)
+(* Prepared queries                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* What evaluation needs of one ε-free disjunct, independent of the
+   graph: its variables by index, and per atom the indices of its
+   endpoints and its automaton. *)
+type atom = { si : int; ti : int; nfa : Nfa.t }
+
+type disjunct = { nv : int; atoms : atom list; free : int list }
+
+type prepared = { sem : Semantics.t; query : Crpq.t; disjuncts : disjunct list }
+
+let prepare_disjunct (d : Crpq.t) =
+  let index = Hashtbl.create 16 in
+  List.iteri (fun i x -> Hashtbl.replace index x i) (Crpq.vars d);
+  let var = Hashtbl.find index in
+  {
+    nv = Hashtbl.length index;
+    atoms =
+      List.map
+        (fun (a : Crpq.atom) ->
+          { si = var a.Crpq.src; ti = var a.Crpq.dst; nfa = Crpq.nfa a.Crpq.lang })
+        d.Crpq.atoms;
+    free = List.map var d.Crpq.free;
+  }
+
+(* ------------------------------------------------------------------ *)
 (* Relational join for St / A_inj / A_edge_inj                         *)
 (* ------------------------------------------------------------------ *)
 
+(* A relation whose pairs are decided on first probe, by [f]. *)
+let on_demand g f =
+  let n = Graph.nnodes g in
+  let cells = Bytes.make (n * n) '\000' in
+  fun u v ->
+    match Bytes.get cells ((u * n) + v) with
+    | '\001' -> false
+    | '\002' -> true
+    | _ ->
+      let b = f u v in
+      Bytes.set cells ((u * n) + v) (if b then '\002' else '\001');
+      b
+
 (* Each atom contributes a binary relation over nodes; evaluation is a
-   backtracking join over the query variables. *)
-let relation_for sem g (a : Crpq.atom) =
-  let nfa = Crpq.nfa a.Crpq.lang in
+   backtracking join over the query variables.  St relations are built
+   whole by the bulk engine; the injective ones are probed pair by pair
+   (each entry is a witness search), so they are filled on demand. *)
+let relation_for sem g a =
   match sem with
-  | Semantics.St -> Bulk_rpq.st_relation g nfa
+  | Semantics.St ->
+    let rel = Bulk_rpq.st_relation g a.nfa in
+    fun u v -> rel.(u).(v)
   | Semantics.A_inj ->
-    let rel = Path_search.simple_reach_relation g nfa in
+    (* one searcher for all the atom's probes, built on the first *)
+    let s = lazy (Path_search.simple_searcher g a.nfa) in
+    let simple u v = Path_search.find_simple_with (Lazy.force s) ~src:u ~dst:v <> None in
     (* an atom x -[L]-> y with syntactically distinct variables must map
-       to a simple path, whose endpoints are distinct: clear the
-       diagonal (it holds simple-cycle reachability) *)
-    if not (String.equal a.Crpq.src a.Crpq.dst) then
-      Array.iteri (fun u row -> row.(u) <- false) rel;
-    rel
+       to a simple path, whose endpoints are distinct: the diagonal (it
+       holds simple-cycle reachability) is empty *)
+    if a.si <> a.ti then on_demand g (fun u v -> u <> v && simple u v)
+    else on_demand g simple
   | Semantics.A_edge_inj ->
-    let n = Graph.nnodes g in
-    let rel = Array.make_matrix (max n 1) (max n 1) false in
-    for u = 0 to n - 1 do
-      for v = 0 to n - 1 do
-        rel.(u).(v) <- Path_search.exists_trail g nfa ~src:u ~dst:v
-      done
-    done;
-    rel
+    on_demand g (fun u v -> Path_search.exists_trail g a.nfa ~src:u ~dst:v)
   | Semantics.Q_inj | Semantics.Q_edge_inj ->
     invalid_arg "Eval.relation_for: global semantics has no per-atom relation"
 
-(* Iterate over all variable assignments satisfying the per-atom binary
-   relations; [fixed] pre-assigns variables. *)
-let iter_join g vars constraints fixed f =
+(* Iterate over all assignments of the [nv] variables satisfying the
+   per-atom binary relations; [fixed] pre-assigns variables. *)
+let iter_join g nv constraints fixed f =
   let n = Graph.nnodes g in
-  let nv = Array.length vars in
-  let index = Hashtbl.create 16 in
-  Array.iteri (fun i x -> Hashtbl.replace index x i) vars;
   let mu = Array.make nv (-1) in
   let ok = ref true in
   List.iter
-    (fun (x, u) ->
-      let i = Hashtbl.find index x in
-      if mu.(i) >= 0 && mu.(i) <> u then ok := false else mu.(i) <- u)
+    (fun (i, u) -> if mu.(i) >= 0 && mu.(i) <> u then ok := false else mu.(i) <- u)
     fixed;
   if !ok && (nv = 0 || n > 0) then begin
-    let cons =
-      List.map
-        (fun (x, y, rel) -> (Hashtbl.find index x, Hashtbl.find index y, rel))
-        constraints
-    in
     let consistent i u =
       List.for_all
         (fun (xi, yi, rel) ->
-          (xi <> i || mu.(yi) < 0 || rel.(u).(mu.(yi)))
-          && (yi <> i || mu.(xi) < 0 || rel.(mu.(xi)).(u))
-          && (xi <> i || yi <> i || rel.(u).(u)))
-        cons
+          (xi <> i || mu.(yi) < 0 || rel u mu.(yi))
+          && (yi <> i || mu.(xi) < 0 || rel mu.(xi) u)
+          && (xi <> i || yi <> i || rel u u))
+        constraints
     in
     (* check pre-assigned variables *)
     let pre_ok =
       List.for_all
-        (fun (xi, yi, rel) ->
-          mu.(xi) < 0 || mu.(yi) < 0 || rel.(mu.(xi)).(mu.(yi)))
-        cons
+        (fun (xi, yi, rel) -> mu.(xi) < 0 || mu.(yi) < 0 || rel mu.(xi) mu.(yi))
+        constraints
     in
     if pre_ok then begin
       let rec go i =
@@ -92,8 +118,7 @@ let iter_join g vars constraints fixed f =
     end
   end
 
-let join_semantics sem q g fixed f =
-  let vars = Array.of_list (Crpq.vars q) in
+let join_semantics sem d g fixed f =
   (* per-atom relations (graph × NFA products) are independent of each
      other: compute them across domains, keep the join sequential.  The
      bulk-dispatch caller is read here and re-established inside each
@@ -103,12 +128,11 @@ let join_semantics sem q g fixed f =
   let caller = Option.value (Bulk_rpq.current_caller ()) ~default:"eval" in
   let constraints =
     Parmap.map
-      (fun (a : Crpq.atom) ->
-        Bulk_rpq.with_caller caller (fun () ->
-            (a.Crpq.src, a.Crpq.dst, relation_for sem g a)))
-      q.Crpq.atoms
+      (fun a ->
+        Bulk_rpq.with_caller caller (fun () -> (a.si, a.ti, relation_for sem g a)))
+      d.atoms
   in
-  iter_join g vars constraints fixed f
+  iter_join g d.nv constraints fixed f
 
 (* ------------------------------------------------------------------ *)
 (* Global semantics: Q_inj and Q_edge_inj                              *)
@@ -117,19 +141,15 @@ let join_semantics sem q g fixed f =
 (* Query-injective: assign variables injectively; thread simple paths
    whose internal nodes avoid every assigned variable image and every
    other path's internal nodes. *)
-let iter_qinj q g fixed f =
+let iter_qinj d g fixed f =
   let n = Graph.nnodes g in
-  let vars = Array.of_list (Crpq.vars q) in
-  let nv = Array.length vars in
-  let index = Hashtbl.create 16 in
-  Array.iteri (fun i x -> Hashtbl.replace index x i) vars;
+  let nv = d.nv in
   let mu = Array.make nv (-1) in
   let var_image = Array.make (max n 1) false in
   let used_internal = Array.make (max n 1) false in
   let ok = ref true in
   List.iter
-    (fun (x, u) ->
-      let i = Hashtbl.find index x in
+    (fun (i, u) ->
       if mu.(i) >= 0 && mu.(i) <> u then ok := false
       else if mu.(i) < 0 then begin
         if var_image.(u) then ok := false
@@ -170,10 +190,7 @@ let iter_qinj q g fixed f =
               (candidates ())
         in
         fill 0
-      | (a : Crpq.atom) :: rest ->
-        let nfa = Crpq.nfa a.Crpq.lang in
-        let si = Hashtbl.find index a.Crpq.src in
-        let ti = Hashtbl.find index a.Crpq.dst in
+      | { si; ti; nfa } :: rest ->
         let with_path () =
           let src = mu.(si) and dst = mu.(ti) in
           Path_search.iter_simple
@@ -205,7 +222,7 @@ let iter_qinj q g fixed f =
               unassign si u)
             (candidates ())
     in
-    solve_atoms q.Crpq.atoms
+    solve_atoms d.atoms
   end
 
 (* Query-edge-injective: edge-injective homomorphism from an expansion.
@@ -213,23 +230,18 @@ let iter_qinj q g fixed f =
    mapping unconstrained — with one exception mirroring expansion
    collapse: two atoms between the SAME variable pair that both take the
    same single letter denote the same expansion edge and may share it. *)
-let iter_qedge q g fixed f =
+let iter_qedge d g fixed f =
   let n = Graph.nnodes g in
-  let vars = Array.of_list (Crpq.vars q) in
-  let nv = Array.length vars in
-  let index = Hashtbl.create 16 in
-  Array.iteri (fun i x -> Hashtbl.replace index x i) vars;
+  let nv = d.nv in
   let mu = Array.make nv (-1) in
   let used_edges : (Graph.edge, unit) Hashtbl.t = Hashtbl.create 32 in
   (* (src var, dst var, letter) ↦ the shared single expansion edge *)
-  let shared_single : (Cq.var * Cq.var * Word.symbol, Graph.edge) Hashtbl.t =
+  let shared_single : (int * int * Word.symbol, Graph.edge) Hashtbl.t =
     Hashtbl.create 8
   in
   let ok = ref true in
   List.iter
-    (fun (x, u) ->
-      let i = Hashtbl.find index x in
-      if mu.(i) >= 0 && mu.(i) <> u then ok := false else mu.(i) <- u)
+    (fun (i, u) -> if mu.(i) >= 0 && mu.(i) <> u then ok := false else mu.(i) <- u)
     fixed;
   if !ok && (nv = 0 || n > 0) then begin
     let rec solve_atoms atoms =
@@ -246,18 +258,14 @@ let iter_qedge q g fixed f =
             done
         in
         fill 0
-      | (a : Crpq.atom) :: rest ->
-        let nfa = Crpq.nfa a.Crpq.lang in
-        let si = Hashtbl.find index a.Crpq.src in
-        let ti = Hashtbl.find index a.Crpq.dst in
+      | { si; ti; nfa } :: rest ->
         let with_path () =
           (* reuse branch: a same-variable-pair atom already claimed a
              single-letter edge this atom can collapse onto *)
           let reusable =
             Hashtbl.fold
               (fun (s_v, t_v, letter) edge acc ->
-                if s_v = a.Crpq.src && t_v = a.Crpq.dst && Nfa.accepts nfa [ letter ]
-                then edge :: acc
+                if s_v = si && t_v = ti && Nfa.accepts nfa [ letter ] then edge :: acc
                 else acc)
               shared_single []
           in
@@ -272,7 +280,7 @@ let iter_qedge q g fixed f =
               let shared_key =
                 match es with
                 | [ ((_, letter, _) as e) ] ->
-                  let key = (a.Crpq.src, a.Crpq.dst, letter) in
+                  let key = (si, ti, letter) in
                   Hashtbl.add shared_single key e;
                   Some key
                 | _ -> None
@@ -300,40 +308,48 @@ let iter_qedge q g fixed f =
             mu.(si) <- -1
           done
     in
-    solve_atoms q.Crpq.atoms
+    solve_atoms d.atoms
   end
 
 (* ------------------------------------------------------------------ *)
 (* Putting it together                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* Pre-pass hook (identity by default): the analysis layer installs a
+   certified optimizer here so [--optimize] / INJCRPQ_OPTIMIZE=on can
+   rewrite queries before every evaluation without creating a
+   dependency cycle (analysis depends on core, not vice versa). *)
+let preprocessor : (Semantics.t -> Crpq.t -> Crpq.t) ref = ref (fun _ q -> q)
+
+let set_preprocessor f = preprocessor := f
+
+let prepare sem q =
+  let query = !preprocessor sem q in
+  let disjuncts = List.map prepare_disjunct (Crpq.epsilon_free_disjuncts query) in
+  { sem; query; disjuncts }
+
 (* [bound] pre-assigns free-variable positions ([None] leaves a position
    open); [f] receives each projected answer tuple. *)
-let iter_answers sem q g ~bound f =
-  let disjuncts = Crpq.epsilon_free_disjuncts q in
+let iter_answers p g ~bound f =
   List.iter
     (fun d ->
-      let fixed_d =
+      let fixed =
         List.concat
           (List.map2
-             (fun x b -> match b with Some u -> [ (x, u) ] | None -> [])
-             d.Crpq.free bound)
+             (fun i b -> match b with Some u -> [ (i, u) ] | None -> [])
+             d.free bound)
       in
-      let report mu =
-        let vars = Array.of_list (Crpq.vars d) in
-        let index = Hashtbl.create 16 in
-        Array.iteri (fun i x -> Hashtbl.replace index x i) vars;
-        f (List.map (fun x -> mu.(Hashtbl.find index x)) d.Crpq.free)
-      in
-      match sem with
+      let report mu = f (List.map (fun i -> mu.(i)) d.free) in
+      match p.sem with
       | Semantics.St | Semantics.A_inj | Semantics.A_edge_inj ->
-        join_semantics sem d g fixed_d report
-      | Semantics.Q_inj -> iter_qinj d g fixed_d report
-      | Semantics.Q_edge_inj -> iter_qedge d g fixed_d report)
-    disjuncts
+        join_semantics p.sem d g fixed report
+      | Semantics.Q_inj -> iter_qinj d g fixed report
+      | Semantics.Q_edge_inj -> iter_qedge d g fixed report)
+    p.disjuncts
 
-let check_impl sem q g tuple =
-  if List.length tuple <> List.length q.Crpq.free then
+let check_impl p g tuple =
+  let free = p.query.Crpq.free in
+  if List.length tuple <> List.length free then
     invalid_arg "Eval.check: tuple arity mismatch";
   (* a node outside the graph is in no answer (and -1 would read as the
      join's "unassigned" marker) *)
@@ -350,56 +366,48 @@ let check_impl sem q g tuple =
         | None ->
           Hashtbl.add tbl x u;
           true)
-      q.Crpq.free tuple
+      free tuple
   in
   consistent
   &&
   try
-    iter_answers sem q g ~bound:(List.map Option.some tuple) (fun _ ->
-        raise Found);
+    iter_answers p g ~bound:(List.map Option.some tuple) (fun _ -> raise Found);
     false
   with Found -> true
 
-(* Pre-pass hook (identity by default): the analysis layer installs a
-   certified optimizer here so [--optimize] / INJCRPQ_OPTIMIZE=on can
-   rewrite queries before every evaluation without creating a
-   dependency cycle (analysis depends on core, not vice versa). *)
-let preprocessor : (Semantics.t -> Crpq.t -> Crpq.t) ref = ref (fun _ q -> q)
-
-let set_preprocessor f = preprocessor := f
-
-let check sem q g tuple =
+let check_prepared p g tuple =
   Obs.Metrics.incr m_evals;
-  let q = !preprocessor sem q in
   if Obs.Trace.enabled () then
-    Obs.Trace.span "eval.check" (fun () -> check_impl sem q g tuple)
-  else check_impl sem q g tuple
+    Obs.Trace.span "eval.check" (fun () -> check_impl p g tuple)
+  else check_impl p g tuple
 
-let eval_impl sem q g =
+let check sem q g tuple = check_prepared (prepare sem q) g tuple
+
+let eval_impl p g =
   let acc = Hashtbl.create 64 in
-  let bound = List.map (fun _ -> None) q.Crpq.free in
-  iter_answers sem q g ~bound (fun t -> Hashtbl.replace acc t ());
+  let bound = List.map (fun _ -> None) p.query.Crpq.free in
+  iter_answers p g ~bound (fun t -> Hashtbl.replace acc t ());
   List.sort compare (Hashtbl.fold (fun t () l -> t :: l) acc [])
 
 let eval sem q g =
   Obs.Metrics.incr m_evals;
-  let q = !preprocessor sem q in
-  if Obs.Trace.enabled () then Obs.Trace.span "eval.eval" (fun () -> eval_impl sem q g)
-  else eval_impl sem q g
+  let p = prepare sem q in
+  if Obs.Trace.enabled () then Obs.Trace.span "eval.eval" (fun () -> eval_impl p g)
+  else eval_impl p g
 
-let eval_bool_impl sem q g =
-  let bound = List.map (fun _ -> None) q.Crpq.free in
+let eval_bool_impl p g =
+  let bound = List.map (fun _ -> None) p.query.Crpq.free in
   try
-    iter_answers sem q g ~bound (fun _ -> raise Found);
+    iter_answers p g ~bound (fun _ -> raise Found);
     false
   with Found -> true
 
 let eval_bool sem q g =
   Obs.Metrics.incr m_evals;
-  let q = !preprocessor sem q in
+  let p = prepare sem q in
   if Obs.Trace.enabled () then
-    Obs.Trace.span "eval.eval_bool" (fun () -> eval_bool_impl sem q g)
-  else eval_bool_impl sem q g
+    Obs.Trace.span "eval.eval_bool" (fun () -> eval_bool_impl p g)
+  else eval_bool_impl p g
 
 (* ------------------------------------------------------------------ *)
 (* Expansion-based reference semantics                                  *)
@@ -440,13 +448,18 @@ let hom_from_expansion sem (e : Expansion.expanded) g tuple =
         ~pattern ~target:g ()
   end
 
-(* Does [w] label a walk of [g]?  Every semantics maps the edges of an
-   expansion onto edges of [g], so no profile using another word maps. *)
-let labels_walk g w =
+(* Does [w] label a walk of [g] from [src] to [dst] ([None]: any node)?
+   Every semantics maps an atom's expansion path, with the free
+   variables on the tuple, onto such a walk, so no profile using
+   another word maps. *)
+let labels_walk g ~src ~dst w =
   let step us a =
     List.sort_uniq Int.compare (List.concat_map (fun u -> Graph.succ g u a) us)
   in
-  List.fold_left step (Graph.nodes g) w <> []
+  let ends =
+    List.fold_left step (match src with Some u -> [ u ] | None -> Graph.nodes g) w
+  in
+  match dst with Some v -> List.mem v ends | None -> ends <> []
 
 let check_via_expansions sem q g tuple =
   let n = Graph.nnodes g in
@@ -459,10 +472,23 @@ let check_via_expansions sem q g tuple =
     (* a trail uses each edge at most once *)
     | Semantics.A_edge_inj | Semantics.Q_edge_inj -> Graph.nedges g
   in
+  (* the node the tuple fixes for a variable: the one it gives at every
+     free position of the variable, if that is a node of [g] *)
+  let fixed x =
+    if List.length tuple <> List.length q.Crpq.free then None
+    else
+      match List.filter_map (fun (y, u) -> if y = x then Some u else None)
+              (List.combine q.Crpq.free tuple)
+      with
+      | u :: us when u >= 0 && u < n && List.for_all (( = ) u) us -> Some u
+      | _ -> None
+  in
   let words =
     List.map
       (fun (a : Crpq.atom) ->
-        List.filter (labels_walk g) (Regex.enumerate ~max_len:(max_len a) a.Crpq.lang))
+        List.filter
+          (labels_walk g ~src:(fixed a.Crpq.src) ~dst:(fixed a.Crpq.dst))
+          (Regex.enumerate ~max_len:(max_len a) a.Crpq.lang))
       q.Crpq.atoms
   in
   (* the profiles one at a time, up to the first expansion that maps *)

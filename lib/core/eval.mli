@@ -7,7 +7,8 @@
       backtracking join — polynomial per candidate assignment, matching
       the NL/NP-completeness landscape;
     - atom-injective: same join over per-atom simple-path relations
-      (each relation entry is an NP witness search);
+      (each relation entry is an NP witness search, made when the join
+      first probes it, by one simple-path searcher per atom);
     - query-injective: global backtracking that assigns variables
       injectively and threads pairwise internally-disjoint simple paths;
     - the two trail semantics (Section 7) replace node- by
@@ -22,6 +23,22 @@
     @raise Invalid_argument if the tuple arity differs from the number of
     free variables. *)
 val check : Semantics.t -> Crpq.t -> Graph.t -> Graph.node list -> bool
+
+(** {2 One query, many graphs}
+
+    A containment search evaluates the same right query on every
+    candidate expansion.  [prepare] does the graph-independent part
+    once: the pre-pass (see {!set_preprocessor}), the
+    {m \varepsilon}-free disjuncts, each disjunct's variable index and
+    its atoms' automata. *)
+
+type prepared
+
+val prepare : Semantics.t -> Crpq.t -> prepared
+
+(** [check_prepared (prepare sem q) g tuple] is [check sem q g tuple];
+    {!check} is defined that way. *)
+val check_prepared : prepared -> Graph.t -> Graph.node list -> bool
 
 (** All answer tuples (deduplicated, sorted). *)
 val eval : Semantics.t -> Crpq.t -> Graph.t -> Graph.node list list
@@ -47,7 +64,9 @@ val set_preprocessor : (Semantics.t -> Crpq.t -> Crpq.t) -> unit
     whose words label walks of [g] and are no longer than [sem] needs
     (per atom {m n \cdot |A|} under St, {m n} under the node-injective
     semantics, {m |E|} under the trail ones), one profile at a time, and
-    stops at the first that maps to [(g, tuple)]. *)
+    stops at the first that maps to [(g, tuple)].  Where the tuple fixes
+    an atom's source (target), the atom's words must label a walk from
+    (to) that node. *)
 val check_via_expansions :
   Semantics.t -> Crpq.t -> Graph.t -> Graph.node list -> bool
 

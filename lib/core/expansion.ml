@@ -115,36 +115,27 @@ let finite_expansions q =
 (* a-inj merges: partitions avoiding atom-related pairs                *)
 (* ------------------------------------------------------------------ *)
 
-let partitions_avoiding vars forbidden =
-  (* Enumerate set partitions of [vars] such that no forbidden pair lands
-     in the same block, as assignments var -> block id (restricted growth
-     strings). *)
-  let vars = Array.of_list vars in
-  let n = Array.length vars in
-  let forbid = Hashtbl.create 16 in
+(* The set partitions of the nodes [0 .. n - 1] that keep the pairs
+   [forbidden] apart, as restricted growth strings: the block id of each
+   node (blocks numbered in the order of their least node) with the
+   number of blocks. *)
+let partitions_avoiding n forbidden =
+  let forbid = Array.make_matrix n n false in
   List.iter
     (fun (x, y) ->
-      Hashtbl.replace forbid (x, y) ();
-      Hashtbl.replace forbid (y, x) ())
+      forbid.(x).(y) <- true;
+      forbid.(y).(x) <- true)
     forbidden;
   let block = Array.make n 0 in
   let results = ref [] in
   let rec go i nblocks =
     Guard.checkpoint "expansion.partitions";
-    if i = n then begin
-      (* materialize: list of blocks as lists of vars *)
-      let blocks = Array.make nblocks [] in
-      for j = n - 1 downto 0 do
-        blocks.(block.(j)) <- vars.(j) :: blocks.(block.(j))
-      done;
-      results := Array.to_list blocks :: !results
-    end
+    if i = n then results := (Array.copy block, nblocks) :: !results
     else
       for b = 0 to nblocks do
         let ok = ref true in
         for j = 0 to i - 1 do
-          if block.(j) = b && Hashtbl.mem forbid (vars.(i), vars.(j)) then
-            ok := false
+          if block.(j) = b && forbid.(i).(j) then ok := false
         done;
         if !ok then begin
           block.(i) <- b;
@@ -155,20 +146,30 @@ let partitions_avoiding vars forbidden =
   go 0 0;
   !results
 
+(* The variables of [e.cq] in node order, and [e.atom_related] as node
+   pairs. *)
+let related_nodes e =
+  let vars = Array.of_list (Cq.vars e.cq) in
+  let index = Hashtbl.create 16 in
+  Array.iteri (fun i x -> Hashtbl.replace index x i) vars;
+  let node = Hashtbl.find index in
+  (vars, List.map (fun (x, y) -> (node x, node y)) e.atom_related)
+
+(* The equality atoms merging each block into its least variable. *)
+let block_eqs vars (block, nblocks) =
+  let blocks = Array.make nblocks [] in
+  for j = Array.length vars - 1 downto 0 do
+    blocks.(block.(j)) <- vars.(j) :: blocks.(block.(j))
+  done;
+  List.concat_map
+    (function [] | [ _ ] -> [] | rep :: rest -> List.map (fun x -> (rep, x)) rest)
+    (Array.to_list blocks)
+
 let merges e =
-  let vars = Cq.vars e.cq in
-  let parts = partitions_avoiding vars e.atom_related in
+  let vars, related = related_nodes e in
   List.map
-    (fun blocks ->
-      let eqs =
-        List.concat_map
-          (fun block ->
-            match block with
-            | [] | [ _ ] -> []
-            | rep :: rest -> List.map (fun x -> (rep, x)) rest)
-          blocks
-      in
-      let cq, rename = Cq.collapse { Cq.base = e.cq; eqs } in
+    (fun part ->
+      let cq, rename = Cq.collapse { Cq.base = e.cq; eqs = block_eqs vars part } in
       let atom_related =
         List.sort_uniq Stdlib.compare
           (List.map (fun (x, y) -> (rename x, rename y)) e.atom_related)
@@ -179,7 +180,7 @@ let merges e =
           e.atom_edges
       in
       { e with cq; atom_related; atom_edges })
-    parts
+    (partitions_avoiding (Array.length vars) related)
 
 let merge e eqs =
   let cq, rename = Cq.collapse { Cq.base = e.cq; eqs } in
@@ -221,6 +222,67 @@ let finite_ainj_expansions q =
 let to_graph e =
   let g, _names = Cq.to_graph e.cq in
   (g, Cq.free_nodes e.cq)
+
+(* ------------------------------------------------------------------ *)
+(* a-inj candidates as graphs                                          *)
+(* ------------------------------------------------------------------ *)
+
+type candidate = {
+  base : expanded;
+  part : int array * int;  (** the merge, as a partition of [base]'s nodes *)
+  graph : Graph.t;
+  tuple : Graph.node list;
+}
+
+(* A merge of [e] is the quotient of [e]'s graph by a partition of its
+   nodes.  The nodes of [to_graph] are the variables in name order, and
+   collapsing keeps the least name of each class, so block [b] of the
+   partition is node [b] of the merged expansion's graph, and the merged
+   expansion's atoms (with its free tuple) are determined by the names
+   of the blocks' least nodes, the block-id edges and the block-id free
+   tuple.  That triple is the dedup key, so [ainj_candidates] keeps
+   exactly the merges [ainj_expansions] keeps, in the same order. *)
+let ainj_candidates ?max_len q =
+  let bases =
+    match max_len with
+    | None -> finite_expansions q
+    | Some max_len -> expansions ~max_len q
+  in
+  let quotients e =
+    let g, names = Cq.to_graph e.cq in
+    let _, related = related_nodes e in
+    let edges = Graph.edges g and free = Cq.free_nodes e.cq in
+    List.map
+      (fun ((block, nblocks) as part) ->
+        let reps = Array.make nblocks "" in
+        for j = Array.length names - 1 downto 0 do
+          reps.(block.(j)) <- names.(j)
+        done;
+        let edges =
+          List.sort_uniq Stdlib.compare
+            (List.map (fun (u, a, v) -> (block.(u), a, block.(v))) edges)
+        in
+        let tuple = List.map (fun u -> block.(u)) free in
+        ((reps, edges, tuple), part))
+      (partitions_avoiding (Array.length names) related)
+  in
+  let seen = Hashtbl.create 64 in
+  List.concat_map
+    (fun e ->
+      List.filter_map
+        (fun (((_, edges, tuple) as key), ((_, nblocks) as part)) ->
+          if Hashtbl.mem seen key then None
+          else begin
+            Hashtbl.add seen key ();
+            Some { base = e; part; graph = Graph.make ~nnodes:nblocks edges; tuple }
+          end)
+        (quotients e))
+    bases
+
+let candidate_graph c = (c.graph, c.tuple)
+
+let candidate_expansion c =
+  merge c.base (block_eqs (Array.of_list (Cq.vars c.base.cq)) c.part)
 
 let pp ppf e =
   Format.fprintf ppf "@[<v>expansion via profile [%a]@,%a@]"

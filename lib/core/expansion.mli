@@ -68,4 +68,28 @@ val finite_ainj_expansions : Crpq.t -> expanded list
 (** The expansion seen as a graph database with its free-node tuple. *)
 val to_graph : expanded -> Graph.t * Graph.node list
 
+(** {1 a-inj candidates as graphs}
+
+    The containment search only evaluates the right query on each
+    a-inj expansion's graph, and needs the named expansion for a
+    counterexample alone. *)
+
+type candidate
+
+(** [ainj_candidates q] is [finite_ainj_expansions q], and
+    [ainj_candidates ~max_len q] is [ainj_expansions ~max_len q], seen
+    as graphs: the same merges in the same order, each built as the
+    quotient of its base expansion's graph by the merge's partition of
+    the nodes, without collapsing a named CQ.  Same guard checkpoints.
+    @raise Invalid_argument without [max_len] on queries with infinite
+    languages. *)
+val ainj_candidates : ?max_len:int -> Crpq.t -> candidate list
+
+(** The candidate's graph and free tuple: {!to_graph} of
+    {!candidate_expansion}. *)
+val candidate_graph : candidate -> Graph.t * Graph.node list
+
+(** The a-inj expansion the candidate stands for. *)
+val candidate_expansion : candidate -> expanded
+
 val pp : Format.formatter -> expanded -> unit

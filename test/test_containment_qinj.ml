@@ -244,122 +244,122 @@ let corpus_pins =
   [|
     "C 1 1 2 4 1";
     "N 1 1 42 4";
-    "C 1 2 1 5 4";
+    "C 1 2 1 5 1";
     "N 2 1 0 0";
     "N 1 1 42 7";
     "N 1 2 1 6";
-    "C 2 2 4 14 21";
-    "C 1 1 1 6 2";
-    "C 1 1 2 7 4";
+    "C 2 2 4 14 7";
+    "C 1 1 1 6 1";
+    "C 1 1 2 7 1";
     "C 1 1 1 4 1";
     "C 2 2 2 9 8";
     "C 2 1 0 0 0";
-    "C 4 2 8 14 60";
+    "C 4 2 8 14 40";
     "C 1 1 1 7 1";
-    "C 7 4 7 19 36";
-    "C 4 4 4 22 66";
-    "C 12 6 60 42 798";
-    "C 6 4 6 14 27";
-    "C 4 2 4 25 225";
-    "C 8 4 10 15 240";
-    "C 4 2 4 12 18";
-    "C 10 10 14 17 45";
-    "C 2 2 2 12 150";
+    "C 7 4 7 19 25";
+    "C 4 4 4 22 10";
+    "C 12 6 60 42 164";
+    "C 6 4 6 14 18";
+    "C 4 2 4 25 6";
+    "C 8 4 10 15 12";
+    "C 4 2 4 12 6";
+    "C 10 10 14 17 27";
+    "C 2 2 2 12 2";
     "N 4 2 12 16";
-    "C 4 4 4 10 100";
-    "C 2 2 7 27 45";
-    "C 2 2 2 13 24";
-    "C 2 2 9 11 480";
-    "C 1 1 1 13 20";
-    "C 4 2 15 42 260";
-    "C 2 2 4 12 12";
+    "C 4 4 4 10 4";
+    "C 2 2 7 27 24";
+    "C 2 2 2 13 4";
+    "C 2 2 9 11 12";
+    "C 1 1 1 13 2";
+    "C 4 2 15 42 38";
+    "C 2 2 4 12 8";
     "N 5 1 14 12";
-    "C 2 2 3 14 20";
-    "C 2 1 7 20 60";
-    "C 4 4 28 15 72";
+    "C 2 2 3 14 2";
+    "C 2 1 7 20 48";
+    "C 4 4 28 15 18";
     "N 12 4 32 10";
-    "C 4 4 4 10 72";
-    "C 8 4 61 23 225";
-    "C 2 2 2 11 20";
-    "C 16 26 15 20 971";
-    "C 2 1 2 82 720";
-    "C 4 4 4 21 360";
-    "C 2 2 3 10 8";
-    "C 4 2 12 16 25";
-    "C 4 4 4 19 96";
-    "C 8 4 14 17 360";
-    "C 8 4 7 13 59";
-    "C 2 2 9 13 10";
+    "C 4 4 4 10 18";
+    "C 8 4 61 23 72";
+    "C 2 2 2 11 8";
+    "C 16 26 15 20 175";
+    "C 2 1 2 82 120";
+    "C 4 4 4 21 36";
+    "C 2 2 3 10 2";
+    "C 4 2 12 16 16";
+    "C 4 4 4 19 16";
+    "C 8 4 14 17 8";
+    "C 8 4 7 13 11";
+    "C 2 2 9 13 8";
     "C 1 1 1 11 10";
     "N 8 2 40 31";
-    "C 2 2 2 48 456";
-    "C 4 4 9 21 1344";
-    "C 4 4 4 13 30";
-    "C 2 1 3 46 320";
-    "C 2 1 6 40 203";
-    "C 8 2 56 21 288";
-    "C 4 4 6 10 12";
-    "C 4 4 4 10 10";
-    "C 2 2 4 11 10";
+    "C 2 2 2 48 156";
+    "C 4 4 9 21 882";
+    "C 4 4 4 13 12";
+    "C 2 1 3 46 4";
+    "C 2 1 6 40 3";
+    "C 8 2 56 21 64";
+    "C 4 4 6 10 10";
+    "C 4 4 4 10 8";
+    "C 2 2 4 11 4";
     "C 3 2 12 11 4";
-    "C 9 4 8 12 49";
-    "C 1 1 1 14 20";
-    "C 4 4 4 17 144";
-    "C 8 8 12 10 72";
-    "C 16 4 15 25 67";
-    "C 4 4 10 27 300";
-    "C 2 2 3 12 20";
-    "C 4 6 12 16 60";
-    "C 12 4 11 24 71";
-    "C 10 4 10 35 984";
-    "C 2 3 6 18 72";
-    "C 7 7 86 19 80";
-    "C 4 4 6 9 25";
-    "C 5 5 26 14 12";
-    "C 4 4 4 18 150";
-    "C 2 2 22 18 40";
+    "C 9 4 8 12 8";
+    "C 1 1 1 14 12";
+    "C 4 4 4 17 9";
+    "C 8 8 12 10 32";
+    "C 16 4 15 25 43";
+    "C 4 4 10 27 40";
+    "C 2 2 3 12 12";
+    "C 4 6 12 16 24";
+    "C 12 4 11 24 41";
+    "C 10 4 10 35 38";
+    "C 2 3 6 18 32";
+    "C 7 7 86 19 30";
+    "C 4 4 6 9 9";
+    "C 5 5 26 14 8";
+    "C 4 4 4 18 54";
+    "C 2 2 22 18 9";
     "N 2 1 20 8";
-    "C 6 6 18 23 41";
-    "C 1 1 2 25 260";
+    "C 6 6 18 23 19";
+    "C 1 1 2 25 4";
     "C 1 2 1 7 4";
-    "C 8 4 7 11 23";
-    "C 1 1 2 16 11";
-    "C 1 1 1 57 820";
-    "C 10 2 10 23 582";
-    "C 6 2 6 30 156";
-    "C 2 2 2 18 20";
-    "C 13 6 106 546 15614";
+    "C 8 4 7 11 19";
+    "C 1 1 2 16 4";
+    "C 1 1 1 57 96";
+    "C 10 2 10 23 27";
+    "C 6 2 6 30 40";
+    "C 2 2 2 18 12";
+    "C 13 6 106 546 640";
     "N 5 2 8 12";
-    "C 4 4 15 15 60";
-    "C 2 2 2 22 144";
+    "C 4 4 15 15 50";
+    "C 2 2 2 22 12";
     "C 2 2 2 8 4";
-    "C 3 4 4 31 24";
-    "C 12 4 11 17 31";
-    "C 2 2 6 20 180";
+    "C 3 4 4 31 16";
+    "C 12 4 11 17 23";
+    "C 2 2 6 20 60";
     "C 1 1 1 4 1";
-    "C 10 14 75 21 100";
-    "C 2 2 2 14 15";
-    "C 9 8 9 14 216";
+    "C 10 14 75 21 48";
+    "C 2 2 2 14 6";
+    "C 9 8 9 14 27";
     "C 2 2 3 8 4";
-    "C 4 2 8 14 8";
+    "C 4 2 8 14 6";
     "N 4 1 20 14";
-    "C 9 8 164 45 268";
-    "C 1 1 1 8 25";
-    "C 4 4 7 21 98";
-    "C 4 4 4 75 402";
-    "C 8 8 116 11 100";
-    "C 1 1 1 9 4";
-    "C 5 6 18 40 264";
-    "C 2 1 5 8 40";
+    "C 9 8 164 45 63";
+    "C 1 1 1 8 9";
+    "C 4 4 7 21 18";
+    "C 4 4 4 75 8";
+    "C 8 8 116 11 64";
+    "C 1 1 1 9 3";
+    "C 5 6 18 40 56";
+    "C 2 1 5 8 24";
     "C 1 1 1 11 2";
-    "C 1 1 2 15 15";
-    "C 14 14 17 28 150";
-    "C 8 2 7 14 59";
-    "C 2 2 17 17 96";
-    "C 1 1 1 11 6";
-    "C 12 4 12 24 370";
-    "C 8 8 7 7 49";
-    "C 2 2 6 16 22";
+    "C 1 1 2 15 8";
+    "C 14 14 17 28 56";
+    "C 8 2 7 14 19";
+    "C 2 2 17 17 16";
+    "C 1 1 1 11 2";
+    "C 12 4 12 24 28";
+    "C 8 8 7 7 7";
+    "C 2 2 6 16 14";
   |]
 
 (* The optimizer pre-pass (INJCRPQ_OPTIMIZE=on) would run nested
@@ -418,6 +418,82 @@ let test_certify_union () =
   | Containment_qinj.Qinj_contained ->
     Alcotest.fail "47-style: decide_union says contained");
   check Alcotest.bool "decide_union re-verifies" true (n > 0)
+
+(* Compatibility is monotone in a value's bits, so the decider searches
+   the minimal values first and the full product only to pick the
+   witness: verdict, witness and morphism types are those of the full
+   search alone, and a contained pair checks no more abstractions. *)
+let prop_minimal_first =
+  Testutil.qtest ~count:60 "minimal values first: the full search's verdict and witness"
+    QCheck2.Gen.(pair (int_bound 1_000_000) bool)
+    (fun (seed, biased) ->
+      let rng = Random.State.make [| 31; seed |] in
+      let labels = [ "a"; "b" ] in
+      let q1, q2 =
+        if biased then
+          Qgen.contained_pair ~rng ~labels ~nvars:3 ~natoms:3 ~cls:Crpq.Class_crpq ()
+        else
+          let q () =
+            Qgen.random_crpq ~rng ~labels ~nvars:3 ~natoms:2 ~arity:0
+              ~cls:Crpq.Class_crpq ()
+          in
+          let q1 = q () in
+          (q1, q ())
+      in
+      QCheck2.assume (Suite.precheck q1 && Suite.precheck q2);
+      let run f = try Ok (f q1 q2) with Containment_qinj.Unsupported m -> Error m in
+      let fail what =
+        Alcotest.failf "%s: %s <= %s" what (Crpq.to_string q1) (Crpq.to_string q2)
+      in
+      match
+        (run Containment_qinj.decide_with_stats, run Containment_qinj.decide_full_search)
+      with
+      | Error _, Error _ -> true
+      | Ok (r, s), Ok (r', s') ->
+        if s.Containment_qinj.morphism_types <> s'.Containment_qinj.morphism_types then
+          fail "morphism types differ";
+        (match r, r' with
+        | Containment_qinj.Qinj_contained, Containment_qinj.Qinj_contained ->
+          let checked (s : Containment_qinj.stats) = s.abstractions_checked in
+          if checked s > checked s' then fail "more abstractions checked"
+        | Containment_qinj.Qinj_not_contained e, Containment_qinj.Qinj_not_contained e' ->
+          if
+            not
+              (Cq.equal e.Expansion.cq e'.Expansion.cq
+              && e.Expansion.profile = e'.Expansion.profile)
+          then fail "witnesses differ"
+        | _ -> fail "verdicts differ");
+        true
+      | _ -> fail "only one search is unsupported")
+
+(* Pairs on which the first refuting abstraction of minimal values
+   gives another counterexample than the first of the full product:
+   the decider still returns the full search's. *)
+let test_minimal_first_witness () =
+  List.iter
+    (fun (q1, q2) ->
+      let q1 = Crpq.parse q1 and q2 = Crpq.parse q2 in
+      let name = Crpq.to_string q1 ^ " <= " ^ Crpq.to_string q2 in
+      check Alcotest.bool (name ^ ": not certified") false
+        (Containment_qinj.certify_union [ q1 ] [ q2 ]);
+      match
+        (fst (Containment_qinj.decide_with_stats q1 q2),
+         fst (Containment_qinj.decide_full_search q1 q2))
+      with
+      | Containment_qinj.Qinj_not_contained e, Containment_qinj.Qinj_not_contained e' ->
+        check Alcotest.string name
+          (Cq.to_string e'.Expansion.cq)
+          (Cq.to_string e.Expansion.cq)
+      | _ -> Alcotest.failf "%s: expected not contained" name)
+    [
+      ( "Q() :- v1 -[(b|a)?]-> v0, v1 -[(b|a)?]-> v1, v2 -[a]-> v0, \
+         v2 -[(a|b)(a|b)]-> v1",
+        "Q() :- v1 -[(b|a)?]-> v1, v2 -[a]-> v0, v2 -[(a|b)(a|b)]-> v1" );
+      ( "Q() :- v0 -[a?a]-> v1, v2 -[(a|b)(b|a)]-> v2, v2 -[b?]-> v1",
+        "Q() :- v0 -[a?a|a]-> v1, v2 -[(a|b)(b|a)]-> v2" );
+      ( "Q() :- v1 -[(a|b)?]-> v2, v2 -[(a|b)(ba)]-> v2, v2 -[a|b]-> v1",
+        "Q() :- v2 -[((a|b)(ba))+]-> v2, v2 -[(a|b)+]-> v1" );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Word boundaries of the packed rows                                  *)
@@ -523,9 +599,12 @@ let () =
           Alcotest.test_case "one tracker run per language" `Quick
             test_language_tracked_once;
           Alcotest.test_case "certify without a witness" `Quick test_certify_union;
+          Alcotest.test_case "minimal values first, full search's witness" `Quick
+            test_minimal_first_witness;
         ] );
       ( "properties",
         [
+          prop_minimal_first;
           prop_normalize_preserves_semantics;
           prop_remove_letter_word;
           prop_split_parallel_union;

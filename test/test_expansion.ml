@@ -121,6 +121,41 @@ let prop_merges_respect_constraints =
             (Expansion.merges e))
         (Expansion.expansions ~max_len:2 q))
 
+(* The containment search's a-inj candidates are quotient graphs of the
+   base expansions' graphs: the same merges as the named enumeration, in
+   its order, with the same graphs and free tuples. *)
+let prop_ainj_candidates =
+  Testutil.qtest ~count:60 "a-inj candidates are the named a-inj expansions as graphs"
+    QCheck2.Gen.(pair (int_bound 1_000_000) bool)
+    (fun (seed, finite) ->
+      let rng = Random.State.make [| 29; seed |] in
+      let q =
+        Qgen.random_crpq ~rng ~labels:[ "a"; "b" ] ~nvars:3
+          ~natoms:(2 + (seed mod 2)) ~arity:(seed mod 3)
+          ~cls:(if finite then Crpq.Class_fin else Crpq.Class_crpq)
+          ()
+      in
+      let named, candidates =
+        if finite && Crpq.is_finite q then
+          (Expansion.finite_ainj_expansions q, Expansion.ainj_candidates q)
+        else
+          ( Expansion.ainj_expansions ~max_len:2 q,
+            Expansion.ainj_candidates ~max_len:2 q )
+      in
+      let shape (g, tuple) = (Graph.nnodes g, Graph.edges g, tuple) in
+      let same (e : Expansion.expanded) c =
+        let e' = Expansion.candidate_expansion c in
+        shape (Expansion.to_graph e) = shape (Expansion.candidate_graph c)
+        && Cq.equal e.Expansion.cq e'.Expansion.cq
+        && e.Expansion.profile = e'.Expansion.profile
+        && e.Expansion.atom_related = e'.Expansion.atom_related
+        && e.Expansion.atom_edges = e'.Expansion.atom_edges
+      in
+      List.length named = List.length candidates
+      && List.for_all2 same named candidates
+      || Alcotest.failf "%s: the candidates differ from the a-inj expansions"
+           (Crpq.to_string q))
+
 let () =
   Alcotest.run "expansion"
     [
@@ -142,5 +177,6 @@ let () =
           prop_expansion_words_match;
           prop_atom_related_distinct;
           prop_merges_respect_constraints;
+          prop_ainj_candidates;
         ] );
     ]

@@ -100,12 +100,9 @@ let preprocess ~bound ~max_atoms sem q =
   end
 
 let install_preprocessor ?(bound = 2) ?(max_atoms = 6) () =
-  Eval.set_preprocessor (preprocess ~bound ~max_atoms);
-  Containment.set_preprocessor (preprocess ~bound ~max_atoms)
+  Eval.set_preprocessor (preprocess ~bound ~max_atoms)
 
-let uninstall_preprocessor () =
-  Eval.set_preprocessor (fun _ q -> q);
-  Containment.set_preprocessor (fun _ q -> q)
+let uninstall_preprocessor () = Eval.set_preprocessor (fun _ q -> q)
 
 (* ------------------------------------------------------------------ *)
 (* Shared renderers and input helpers (CLI and golden tests)           *)

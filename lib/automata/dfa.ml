@@ -196,8 +196,6 @@ let included a b =
   let db = of_nfa ~alphabet:alpha b in
   is_empty (intersect da (complement db))
 
-let equivalent a b = included a b && included b a
-
 let regex_included r s = included (Nfa.of_regex r) (Nfa.of_regex s)
 
 let regex_equivalent r s = regex_included r s && regex_included s r

@@ -36,9 +36,6 @@ val shortest_word : t -> Word.t option
 (** [included a b] decides {m L(a) \subseteq L(b)}. *)
 val included : Nfa.t -> Nfa.t -> bool
 
-(** [equivalent a b] decides {m L(a) = L(b)}. *)
-val equivalent : Nfa.t -> Nfa.t -> bool
-
 (** [regex_included r s] decides {m L(r) \subseteq L(s)}. *)
 val regex_included : Regex.t -> Regex.t -> bool
 

@@ -111,6 +111,3 @@ let find_mapi ?jobs f xs =
     in
     first 0
   end
-
-let find_map ?jobs f xs =
-  Option.map snd (find_mapi ?jobs (fun _ x -> f x) xs)

@@ -28,5 +28,3 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 val find_mapi : ?jobs:int -> (int -> 'a -> 'b option) -> 'a list -> (int * 'b) option
 (** First match in input order, with its index ([f] may additionally be
     applied to later elements before the fan-out drains). *)
-
-val find_map : ?jobs:int -> ('a -> 'b option) -> 'a list -> 'b option

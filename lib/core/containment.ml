@@ -280,6 +280,8 @@ let strategy_name sem q1 q2 =
   | S_finite_lhs -> "finite-expansion enumeration"
   | S_qinj_abstraction -> "abstraction algorithm (Thm 5.1)"
   | S_f7 -> "window algorithm (Prop F.7)"
+  | S_bounded when sem = Semantics.St ->
+    "Thm 5.1 certificate, then bounded counterexample search"
   | S_bounded -> "bounded counterexample search"
 
 let cq_fallback_witness sem q1 q2 =
@@ -341,13 +343,9 @@ let decide_impl ~bound sem q1 q2 =
   end
   | S_bounded -> certified_bounded sem ~bound q1 q2
 
-let preprocessor : (Semantics.t -> Crpq.t -> Crpq.t) ref = ref (fun _ q -> q)
-
-let set_preprocessor f = preprocessor := f
-
 let decide ?(bound = 4) ?guard sem q1 q2 =
   Obs.Metrics.incr m_decisions;
-  let q1 = !preprocessor sem q1 and q2 = !preprocessor sem q2 in
+  let q1 = Eval.preprocess sem q1 and q2 = Eval.preprocess sem q2 in
   let go () =
     Guard.checkpoint "containment.decide";
     if Obs.Trace.enabled () then

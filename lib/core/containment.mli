@@ -136,16 +136,12 @@ val certified_search :
     (default 4) controls the fallback bounded search.  [guard] (or an
     ambient {!Guard.with_guard}) bounds the whole decision: on a trip the
     result is [Unknown (Resource_exhausted _)] rather than an exception,
-    so [decide] under a guard always returns. *)
+    so [decide] under a guard always returns.  Both queries first go
+    through the installed pre-pass, {!Eval.preprocess}. *)
 val decide :
   ?bound:int -> ?guard:Guard.t -> Semantics.t -> Crpq.t -> Crpq.t -> verdict
 
-(** Name of the procedure {!decide} would use (for reporting). *)
+(** Name of the procedure {!decide} would use (for reporting).  Under
+    standard semantics the bounded search is named after the Theorem 5.1
+    certificate that runs first. *)
 val strategy_name : Semantics.t -> Crpq.t -> Crpq.t -> string
-
-(** Install a query pre-pass applied to both sides of every {!decide}
-    call (identity by default).  The analysis layer hooks its certified
-    optimizer in here; installers must guard against re-entry, since
-    a preprocessor that itself calls {!decide} would otherwise recurse
-    forever. *)
-val set_preprocessor : (Semantics.t -> Crpq.t -> Crpq.t) -> unit

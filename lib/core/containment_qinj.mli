@@ -110,8 +110,6 @@ val decide_union : Crpq.t list -> Crpq.t list -> result
     @raise Unsupported as {!decide_union} does. *)
 val certify_union : Crpq.t list -> Crpq.t list -> bool
 
-val decide_union_with_stats : Crpq.t list -> Crpq.t list -> result * stats
-
 (** Same as {!decide_with_stats}, but every abstraction search runs
     over the full product of achievable values, without the minimal
     values first.  A reference for tests: it reaches the same verdict

@@ -37,6 +37,25 @@ let prepare_disjunct (d : Crpq.t) =
   }
 
 (* ------------------------------------------------------------------ *)
+(* Bound tuples                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The assignment a bound tuple starts [d]'s search from (-1: open), or
+   [None] when a bound node is outside [g] or one variable gets two
+   nodes: a repeated free variable, or two merged by an ε-atom. *)
+let fixed_assignment g d bound =
+  let n = Graph.nnodes g in
+  let mu = Array.make d.nv (-1) in
+  let fix i = function
+    | None -> true
+    | Some u when u < 0 || u >= n || (mu.(i) >= 0 && mu.(i) <> u) -> false
+    | Some u ->
+      mu.(i) <- u;
+      true
+  in
+  if List.for_all2 fix d.free bound then Some mu else None
+
+(* ------------------------------------------------------------------ *)
 (* Relational join for St / A_inj / A_edge_inj                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -76,49 +95,43 @@ let relation_for sem g a =
   | Semantics.Q_inj | Semantics.Q_edge_inj ->
     invalid_arg "Eval.relation_for: global semantics has no per-atom relation"
 
-(* Iterate over all assignments of the [nv] variables satisfying the
-   per-atom binary relations; [fixed] pre-assigns variables. *)
-let iter_join g nv constraints fixed f =
+(* Iterate over all assignments extending [mu] that satisfy the per-atom
+   binary relations. *)
+let iter_join g constraints mu f =
   let n = Graph.nnodes g in
-  let mu = Array.make nv (-1) in
-  let ok = ref true in
-  List.iter
-    (fun (i, u) -> if mu.(i) >= 0 && mu.(i) <> u then ok := false else mu.(i) <- u)
-    fixed;
-  if !ok && (nv = 0 || n > 0) then begin
-    let consistent i u =
-      List.for_all
-        (fun (xi, yi, rel) ->
-          (xi <> i || mu.(yi) < 0 || rel u mu.(yi))
-          && (yi <> i || mu.(xi) < 0 || rel mu.(xi) u)
-          && (xi <> i || yi <> i || rel u u))
-        constraints
+  let nv = Array.length mu in
+  let consistent i u =
+    List.for_all
+      (fun (xi, yi, rel) ->
+        (xi <> i || mu.(yi) < 0 || rel u mu.(yi))
+        && (yi <> i || mu.(xi) < 0 || rel mu.(xi) u)
+        && (xi <> i || yi <> i || rel u u))
+      constraints
+  in
+  (* check pre-assigned variables *)
+  let pre_ok =
+    List.for_all
+      (fun (xi, yi, rel) -> mu.(xi) < 0 || mu.(yi) < 0 || rel mu.(xi) mu.(yi))
+      constraints
+  in
+  if pre_ok then begin
+    let rec go i =
+      if i = nv then f (Array.copy mu)
+      else if mu.(i) >= 0 then go (i + 1)
+      else
+        for u = 0 to n - 1 do
+          Obs.Metrics.incr m_candidates;
+          if consistent i u then begin
+            mu.(i) <- u;
+            go (i + 1);
+            mu.(i) <- -1
+          end
+        done
     in
-    (* check pre-assigned variables *)
-    let pre_ok =
-      List.for_all
-        (fun (xi, yi, rel) -> mu.(xi) < 0 || mu.(yi) < 0 || rel mu.(xi) mu.(yi))
-        constraints
-    in
-    if pre_ok then begin
-      let rec go i =
-        if i = nv then f (Array.copy mu)
-        else if mu.(i) >= 0 then go (i + 1)
-        else
-          for u = 0 to n - 1 do
-            Obs.Metrics.incr m_candidates;
-            if consistent i u then begin
-              mu.(i) <- u;
-              go (i + 1);
-              mu.(i) <- -1
-            end
-          done
-      in
-      go 0
-    end
+    go 0
   end
 
-let join_semantics sem d g fixed f =
+let join_semantics sem d g mu f =
   (* per-atom relations (graph × NFA products) are independent of each
      other: compute them across domains, keep the join sequential.  The
      bulk-dispatch caller is read here and re-established inside each
@@ -132,184 +145,128 @@ let join_semantics sem d g fixed f =
         Bulk_rpq.with_caller caller (fun () -> (a.si, a.ti, relation_for sem g a)))
       d.atoms
   in
-  iter_join g d.nv constraints fixed f
+  iter_join g constraints mu f
 
 (* ------------------------------------------------------------------ *)
 (* Global semantics: Q_inj and Q_edge_inj                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Query-injective: assign variables injectively; thread simple paths
-   whose internal nodes avoid every assigned variable image and every
-   other path's internal nodes. *)
-let iter_qinj d g fixed f =
-  let n = Graph.nnodes g in
-  let nv = d.nv in
-  let mu = Array.make nv (-1) in
-  let var_image = Array.make (max n 1) false in
-  let used_internal = Array.make (max n 1) false in
-  let ok = ref true in
-  List.iter
-    (fun (i, u) ->
-      if mu.(i) >= 0 && mu.(i) <> u then ok := false
-      else if mu.(i) < 0 then begin
-        if var_image.(u) then ok := false
-        else begin
-          mu.(i) <- u;
-          var_image.(u) <- true
-        end
-      end)
-    fixed;
-  if !ok && (nv = 0 || n > 0) then begin
-    let assign i u =
-      Obs.Metrics.incr m_candidates;
-      mu.(i) <- u;
-      var_image.(u) <- true
-    in
-    let unassign i u =
-      mu.(i) <- -1;
-      var_image.(u) <- false
-    in
-    let candidates () =
-      List.filter
-        (fun u -> (not var_image.(u)) && not used_internal.(u))
-        (List.init n (fun u -> u))
-    in
-    let rec solve_atoms atoms =
-      match atoms with
-      | [] ->
-        (* assign leftover variables injectively *)
-        let rec fill i =
-          if i = nv then f (Array.copy mu)
-          else if mu.(i) >= 0 then fill (i + 1)
-          else
-            List.iter
-              (fun u ->
-                assign i u;
-                fill (i + 1);
-                unassign i u)
-              (candidates ())
-        in
-        fill 0
-      | { si; ti; nfa } :: rest ->
-        let with_path () =
-          let src = mu.(si) and dst = mu.(ti) in
-          Path_search.iter_simple
-            ~avoid_internal:(fun v -> var_image.(v) || used_internal.(v))
-            g nfa ~src ~dst
-            (fun p ->
-              Obs.Metrics.incr m_paths;
-              let internals = Path.internal_nodes p in
-              List.iter (fun v -> used_internal.(v) <- true) internals;
-              solve_atoms rest;
-              List.iter (fun v -> used_internal.(v) <- false) internals)
-        in
-        let with_dst () =
-          if mu.(ti) >= 0 then with_path ()
-          else
-            List.iter
-              (fun u ->
-                assign ti u;
-                with_path ();
-                unassign ti u)
-              (candidates ())
-        in
-        if mu.(si) >= 0 then with_dst ()
-        else
-          List.iter
-            (fun u ->
-              assign si u;
-              with_dst ();
-              unassign si u)
-            (candidates ())
-    in
-    solve_atoms d.atoms
-  end
+(* Both ask for a homomorphism from an expansion that is injective in
+   one resource: nodes under Q_inj, edges under Q_edge_inj (Section 7).
+   One search threads the atoms' paths for both; a [threading] holds
+   what differs. *)
+type threading = {
+  may_take : Graph.node -> bool;  (** may a variable take this node? *)
+  claim : Graph.node -> unit;  (** a variable took it *)
+  release : Graph.node -> unit;
+  paths : atom -> src:Graph.node -> dst:Graph.node -> (unit -> unit) -> unit;
+      (** calls its continuation once per path for the atom, with that
+          path's claims held *)
+}
 
-(* Query-edge-injective: edge-injective homomorphism from an expansion.
-   Operationally: trails with pairwise disjoint edges, the variable
-   mapping unconstrained — with one exception mirroring expansion
-   collapse: two atoms between the SAME variable pair that both take the
-   same single letter denote the same expansion edge and may share it. *)
-let iter_qedge d g fixed f =
+(* Query-injective: variable images are claimed; simple paths avoid
+   every claimed node and claim their internal nodes. *)
+let node_threading g =
   let n = Graph.nnodes g in
-  let nv = d.nv in
-  let mu = Array.make nv (-1) in
+  let var_image = Array.make n false and used_internal = Array.make n false in
+  let claimed v = var_image.(v) || used_internal.(v) in
+  {
+    may_take = (fun u -> not (claimed u));
+    claim = (fun u -> var_image.(u) <- true);
+    release = (fun u -> var_image.(u) <- false);
+    paths =
+      (fun a ~src ~dst k ->
+        Path_search.iter_simple ~avoid_internal:claimed g a.nfa ~src ~dst (fun p ->
+            Obs.Metrics.incr m_paths;
+            let internals = Path.internal_nodes p in
+            List.iter (fun v -> used_internal.(v) <- true) internals;
+            k ();
+            List.iter (fun v -> used_internal.(v) <- false) internals));
+  }
+
+(* Query-edge-injective: trails with pairwise disjoint edges, the
+   variable mapping unconstrained — with one exception mirroring
+   expansion collapse: two atoms between the SAME variable pair that
+   both take the same single letter denote the same expansion edge and
+   may share it. *)
+let edge_threading g =
   let used_edges : (Graph.edge, unit) Hashtbl.t = Hashtbl.create 32 in
   (* (src var, dst var, letter) ↦ the shared single expansion edge *)
   let shared_single : (int * int * Word.symbol, Graph.edge) Hashtbl.t =
     Hashtbl.create 8
   in
-  let ok = ref true in
-  List.iter
-    (fun (i, u) -> if mu.(i) >= 0 && mu.(i) <> u then ok := false else mu.(i) <- u)
-    fixed;
-  if !ok && (nv = 0 || n > 0) then begin
-    let rec solve_atoms atoms =
-      match atoms with
-      | [] ->
-        let rec fill i =
-          if i = nv then f (Array.copy mu)
-          else if mu.(i) >= 0 then fill (i + 1)
-          else
-            for u = 0 to n - 1 do
-              mu.(i) <- u;
-              fill (i + 1);
-              mu.(i) <- -1
-            done
+  {
+    may_take = (fun _ -> true);
+    claim = ignore;
+    release = ignore;
+    paths =
+      (fun { si; ti; nfa } ~src ~dst k ->
+        (* reuse branch: a same-variable-pair atom already claimed a
+           single-letter edge this atom can collapse onto *)
+        let reusable =
+          Hashtbl.fold
+            (fun (s_v, t_v, letter) edge acc ->
+              if s_v = si && t_v = ti && Nfa.accepts nfa [ letter ] then edge :: acc
+              else acc)
+            shared_single []
         in
-        fill 0
-      | { si; ti; nfa } :: rest ->
-        let with_path () =
-          (* reuse branch: a same-variable-pair atom already claimed a
-             single-letter edge this atom can collapse onto *)
-          let reusable =
-            Hashtbl.fold
-              (fun (s_v, t_v, letter) edge acc ->
-                if s_v = si && t_v = ti && Nfa.accepts nfa [ letter ] then edge :: acc
-                else acc)
-              shared_single []
-          in
-          List.iter (fun _edge -> solve_atoms rest) reusable;
-          Path_search.iter_trail
-            ~avoid_edge:(Hashtbl.mem used_edges)
-            g nfa ~src:mu.(si) ~dst:mu.(ti)
-            (fun p ->
-              Obs.Metrics.incr m_paths;
-              let es = Path.edges p in
-              List.iter (fun e -> Hashtbl.add used_edges e ()) es;
-              let shared_key =
-                match es with
-                | [ ((_, letter, _) as e) ] ->
-                  let key = (si, ti, letter) in
-                  Hashtbl.add shared_single key e;
-                  Some key
-                | _ -> None
-              in
-              solve_atoms rest;
-              Option.iter (fun key -> Hashtbl.remove shared_single key) shared_key;
-              List.iter (fun e -> Hashtbl.remove used_edges e) es)
-        in
-        let with_dst () =
-          if mu.(ti) >= 0 then with_path ()
-          else
-            for u = 0 to n - 1 do
-              Obs.Metrics.incr m_candidates;
-              mu.(ti) <- u;
-              with_path ();
-              mu.(ti) <- -1
-            done
-        in
-        if mu.(si) >= 0 then with_dst ()
-        else
-          for u = 0 to n - 1 do
-            Obs.Metrics.incr m_candidates;
-            mu.(si) <- u;
-            with_dst ();
-            mu.(si) <- -1
-          done
-    in
-    solve_atoms d.atoms
-  end
+        List.iter (fun _edge -> k ()) reusable;
+        Path_search.iter_trail ~avoid_edge:(Hashtbl.mem used_edges) g nfa ~src ~dst
+          (fun p ->
+            Obs.Metrics.incr m_paths;
+            let es = Path.edges p in
+            List.iter (fun e -> Hashtbl.add used_edges e ()) es;
+            let shared_key =
+              match es with
+              | [ ((_, letter, _) as e) ] ->
+                let key = (si, ti, letter) in
+                Hashtbl.add shared_single key e;
+                Some key
+              | _ -> None
+            in
+            k ();
+            Option.iter (fun key -> Hashtbl.remove shared_single key) shared_key;
+            List.iter (fun e -> Hashtbl.remove used_edges e) es));
+  }
+
+(* For each atom in order, place its source and target, thread a path,
+   recurse; then place the variables no atom placed.  Candidates are
+   counted at atom endpoints only. *)
+let iter_threaded t d g mu f =
+  let n = Graph.nnodes g in
+  let take i u k =
+    mu.(i) <- u;
+    t.claim u;
+    k ();
+    t.release u;
+    mu.(i) <- -1
+  in
+  let place ~count i k =
+    if mu.(i) >= 0 then k ()
+    else
+      for u = 0 to n - 1 do
+        if t.may_take u then begin
+          if count then Obs.Metrics.incr m_candidates;
+          take i u k
+        end
+      done
+  in
+  let rec solve = function
+    | [] ->
+      let rec fill i =
+        if i = d.nv then f (Array.copy mu)
+        else place ~count:false i (fun () -> fill (i + 1))
+      in
+      fill 0
+    | a :: rest ->
+      place ~count:true a.si (fun () ->
+          place ~count:true a.ti (fun () ->
+              t.paths a ~src:mu.(a.si) ~dst:mu.(a.ti) (fun () -> solve rest)))
+  in
+  (* pre-assigned variables claim their nodes first; under Q_inj two of
+     them on one node end the search here *)
+  let claim_fixed u = u < 0 || (t.may_take u && (t.claim u; true)) in
+  if Array.for_all claim_fixed mu then solve d.atoms
 
 (* ------------------------------------------------------------------ *)
 (* Putting it together                                                  *)
@@ -317,14 +274,17 @@ let iter_qedge d g fixed f =
 
 (* Pre-pass hook (identity by default): the analysis layer installs a
    certified optimizer here so [--optimize] / INJCRPQ_OPTIMIZE=on can
-   rewrite queries before every evaluation without creating a
-   dependency cycle (analysis depends on core, not vice versa). *)
+   rewrite queries before every evaluation and containment decision
+   without creating a dependency cycle (analysis depends on core, not
+   vice versa). *)
 let preprocessor : (Semantics.t -> Crpq.t -> Crpq.t) ref = ref (fun _ q -> q)
 
 let set_preprocessor f = preprocessor := f
 
+let preprocess sem q = !preprocessor sem q
+
 let prepare sem q =
-  let query = !preprocessor sem q in
+  let query = preprocess sem q in
   let disjuncts = List.map prepare_disjunct (Crpq.epsilon_free_disjuncts query) in
   { sem; query; disjuncts }
 
@@ -333,81 +293,49 @@ let prepare sem q =
 let iter_answers p g ~bound f =
   List.iter
     (fun d ->
-      let fixed =
-        List.concat
-          (List.map2
-             (fun i b -> match b with Some u -> [ (i, u) ] | None -> [])
-             d.free bound)
-      in
-      let report mu = f (List.map (fun i -> mu.(i)) d.free) in
-      match p.sem with
-      | Semantics.St | Semantics.A_inj | Semantics.A_edge_inj ->
-        join_semantics p.sem d g fixed report
-      | Semantics.Q_inj -> iter_qinj d g fixed report
-      | Semantics.Q_edge_inj -> iter_qedge d g fixed report)
+      match fixed_assignment g d bound with
+      | None -> ()
+      | Some mu -> (
+        let report mu = f (List.map (fun i -> mu.(i)) d.free) in
+        match p.sem with
+        | Semantics.St | Semantics.A_inj | Semantics.A_edge_inj ->
+          join_semantics p.sem d g mu report
+        | Semantics.Q_inj -> iter_threaded (node_threading g) d g mu report
+        | Semantics.Q_edge_inj -> iter_threaded (edge_threading g) d g mu report))
     p.disjuncts
 
-let check_impl p g tuple =
-  let free = p.query.Crpq.free in
-  if List.length tuple <> List.length free then
-    invalid_arg "Eval.check: tuple arity mismatch";
-  (* a node outside the graph is in no answer (and -1 would read as the
-     join's "unassigned" marker) *)
-  let n = Graph.nnodes g in
-  List.for_all (fun u -> u >= 0 && u < n) tuple
-  &&
-  (* repeated free variables must receive equal nodes *)
-  let tbl = Hashtbl.create 8 in
-  let consistent =
-    List.for_all2
-      (fun x u ->
-        match Hashtbl.find_opt tbl x with
-        | Some v -> v = u
-        | None ->
-          Hashtbl.add tbl x u;
-          true)
-      free tuple
-  in
-  consistent
-  &&
-  try
-    iter_answers p g ~bound:(List.map Option.some tuple) (fun _ -> raise Found);
-    false
-  with Found -> true
-
-let check_prepared p g tuple =
-  Obs.Metrics.incr m_evals;
-  if Obs.Trace.enabled () then
-    Obs.Trace.span "eval.check" (fun () -> check_impl p g tuple)
-  else check_impl p g tuple
-
-let check sem q g tuple = check_prepared (prepare sem q) g tuple
-
-let eval_impl p g =
-  let acc = Hashtbl.create 64 in
-  let bound = List.map (fun _ -> None) p.query.Crpq.free in
-  iter_answers p g ~bound (fun t -> Hashtbl.replace acc t ());
-  List.sort compare (Hashtbl.fold (fun t () l -> t :: l) acc [])
-
-let eval sem q g =
-  Obs.Metrics.incr m_evals;
-  let p = prepare sem q in
-  if Obs.Trace.enabled () then Obs.Trace.span "eval.eval" (fun () -> eval_impl p g)
-  else eval_impl p g
-
-let eval_bool_impl p g =
-  let bound = List.map (fun _ -> None) p.query.Crpq.free in
+let exists_answer p g ~bound =
   try
     iter_answers p g ~bound (fun _ -> raise Found);
     false
   with Found -> true
 
-let eval_bool sem q g =
+let open_tuple p = List.map (fun _ -> None) p.query.Crpq.free
+
+(* Every entry point counts one evaluation and, when tracing, records
+   its span. *)
+let evaluation name run =
   Obs.Metrics.incr m_evals;
+  if Obs.Trace.enabled () then Obs.Trace.span name run else run ()
+
+let check_prepared p g tuple =
+  evaluation "eval.check" (fun () ->
+      if List.length tuple <> List.length p.query.Crpq.free then
+        invalid_arg "Eval.check: tuple arity mismatch";
+      exists_answer p g ~bound:(List.map Option.some tuple))
+
+let check sem q g tuple = check_prepared (prepare sem q) g tuple
+
+let eval sem q g =
   let p = prepare sem q in
-  if Obs.Trace.enabled () then
-    Obs.Trace.span "eval.eval_bool" (fun () -> eval_bool_impl p g)
-  else eval_bool_impl p g
+  evaluation "eval.eval" (fun () ->
+      let acc = Hashtbl.create 64 in
+      iter_answers p g ~bound:(open_tuple p) (fun t -> Hashtbl.replace acc t ());
+      List.sort compare (Hashtbl.fold (fun t () l -> t :: l) acc []))
+
+let eval_bool sem q g =
+  let p = prepare sem q in
+  evaluation "eval.eval_bool" (fun () -> exists_answer p g ~bound:(open_tuple p))
 
 (* ------------------------------------------------------------------ *)
 (* Expansion-based reference semantics                                  *)

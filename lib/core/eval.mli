@@ -12,7 +12,10 @@
     - query-injective: global backtracking that assigns variables
       injectively and threads pairwise internally-disjoint simple paths;
     - the two trail semantics (Section 7) replace node- by
-      edge-disjointness.
+      edge-disjointness: per-atom trail relations under atom-edge-injective,
+      and under query-edge-injective the same threading search as
+      query-injective, with unconstrained variables and edge-disjoint
+      trails.
 
     The expansion-based evaluators implement Propositions 2.2 / 2.3
     literally and serve as independent oracles in the test suite. *)
@@ -47,13 +50,19 @@ val eval : Semantics.t -> Crpq.t -> Graph.t -> Graph.node list list
     query this is [check sem q g []].) *)
 val eval_bool : Semantics.t -> Crpq.t -> Graph.t -> bool
 
-(** Install a query pre-pass applied by {!check}, {!eval} and
-    {!eval_bool} before evaluation (identity by default); the analysis
-    layer hooks its certified optimizer in here.  The pre-pass must
-    preserve the free-variable tuple, or {!check}'s arity contract
-    breaks.  The expansion-based reference evaluators below are {e not}
-    preprocessed — they stay independent oracles. *)
+(** Install the query pre-pass applied by {!check}, {!eval},
+    {!eval_bool} and {!Containment.decide} (to both sides) before they
+    run (identity by default); the analysis layer hooks its certified
+    optimizer in here.  The pre-pass must preserve the free-variable
+    tuple, or {!check}'s arity contract breaks, and installers must
+    guard against re-entry: a pre-pass that itself calls
+    {!Containment.decide} would otherwise recurse forever.  The
+    expansion-based reference evaluators below are {e not} preprocessed
+    — they stay independent oracles. *)
 val set_preprocessor : (Semantics.t -> Crpq.t -> Crpq.t) -> unit
+
+(** [preprocess sem q] applies the installed pre-pass. *)
+val preprocess : Semantics.t -> Crpq.t -> Crpq.t
 
 (** {1 Expansion-based reference semantics (Props 2.2, 2.3 and their
     edge-injective analogues)}

@@ -160,21 +160,3 @@ let union_into ~src ~dst =
     if or_row_into ~src i ~dst i then changed := true
   done;
   !changed
-
-let of_bool_matrix bm =
-  let rows = Array.length bm in
-  let cols = if rows = 0 then 0 else Array.length bm.(0) in
-  let m = create ~rows ~cols in
-  Array.iteri
-    (fun i row ->
-      if Array.length row <> cols then invalid_arg "Bitmatrix.of_bool_matrix";
-      Array.iteri (fun j v -> if v then set m i j) row)
-    bm;
-  m
-
-let to_bool_matrix m =
-  let out = Array.make_matrix m.rows m.cols false in
-  for i = 0 to m.rows - 1 do
-    iter_row m i (fun j -> out.(i).(j) <- true)
-  done;
-  out

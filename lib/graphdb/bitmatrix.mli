@@ -68,8 +68,3 @@ val scatter_row : dst:t -> int -> int array -> ofs:int -> len:int -> unit
 (** [union_into ~src ~dst] ORs all of [src] into [dst] (same
     dimensions); returns [true] iff [dst] changed. *)
 val union_into : src:t -> dst:t -> bool
-
-val of_bool_matrix : bool array array -> t
-
-(** [to_bool_matrix m] as nested arrays; rows of length [cols m]. *)
-val to_bool_matrix : t -> bool array array

@@ -66,7 +66,10 @@ let test_strategies () =
   check Alcotest.string "qinj abstraction" "abstraction algorithm (Thm 5.1)"
     (s Semantics.Q_inj "x -[a+]-> y" "x -[a*]-> y");
   check Alcotest.string "bounded" "bounded counterexample search"
-    (s Semantics.A_inj "x -[a+]-> y" "x -[a*]-> y")
+    (s Semantics.A_inj "x -[a+]-> y" "x -[a*]-> y");
+  check Alcotest.string "st bounded"
+    "Thm 5.1 certificate, then bounded counterexample search"
+    (s Semantics.St "x -[a+]-> y" "x -[a*]-> y")
 
 let test_edge_semantics_rejected () =
   Alcotest.check_raises "edge semantics"
@@ -232,7 +235,7 @@ let verdict_repr = function
 
 let reaches_bounded_search q1 q2 =
   match Containment.strategy_name Semantics.St q1 q2 with
-  | "bounded counterexample search" -> true
+  | "Thm 5.1 certificate, then bounded counterexample search" -> true
   | "window algorithm (Prop F.7)" -> (
     match Containment_f7.decide_st q1 q2 with
     | _ -> false

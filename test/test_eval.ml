@@ -177,12 +177,36 @@ let test_arity_mismatch () =
   Alcotest.check_raises "arity" (Invalid_argument "Eval.check: tuple arity mismatch")
     (fun () -> ignore (Eval.check Semantics.St (Crpq.parse "Q(x) :- x -[a]-> x") g []))
 
+(* A tuple that gives one variable two nodes is in no answer; one node
+   for two free variables breaks query-injectivity only.  Every
+   semantics, against the expansion oracle. *)
 let test_repeated_free_vars () =
   let g = Graph.make ~nnodes:2 [ (0, "a", 1) ] in
-  let q = Crpq.parse "Q(x, x) :- x -[a]-> y" in
-  check Alcotest.bool "consistent tuple" true (Eval.check Semantics.St q g [ 0; 0 ]);
-  check Alcotest.bool "inconsistent tuple" false
-    (Eval.check Semantics.St q g [ 0; 1 ])
+  let repeated = Crpq.parse "Q(x, x) :- x -[a]-> y" in
+  let shared = Crpq.parse "Q(x, y) :- x -[a]-> z, y -[a]-> z" in
+  let shared_repeated = Crpq.parse "Q(x, y, x) :- x -[a]-> z, y -[a]-> z" in
+  List.iter
+    (fun sem ->
+      let node_injective = sem = Semantics.Q_inj in
+      let edge_injective = sem = Semantics.Q_edge_inj in
+      List.iter
+        (fun (name, q, t, expected) ->
+          let name = Printf.sprintf "%s %s" (Semantics.to_string sem) name in
+          check Alcotest.bool (name ^ " oracle") expected
+            (Eval.check_via_expansions sem q g t);
+          check Alcotest.bool name expected (Eval.check sem q g t))
+        [
+          ("consistent tuple", repeated, [ 0; 0 ], true);
+          ("inconsistent tuple", repeated, [ 0; 1 ], false);
+          ("inconsistent tuple, other order", repeated, [ 1; 0 ], false);
+          (* the two atoms also take the one a-edge *)
+          ( "two free variables, one node",
+            shared,
+            [ 0; 0 ],
+            not (node_injective || edge_injective) );
+          ("repeated and inconsistent", shared_repeated, [ 1; 0; 0 ], false);
+        ])
+    Semantics.all
 
 (* A node outside the graph is in no answer: -1 (the join's "unassigned"
    marker) must not read as a free variable, and a node past the end

@@ -608,7 +608,7 @@ let equiv_cmd =
   let run () () guard sem q1 q2 bound =
     check_bound "--bound" bound;
     governed guard @@ fun () ->
-    match Minimize.equivalent ~bound sem q1 q2 with
+    match Ucrpq.equivalent ~bound sem (Ucrpq.of_crpq q1) (Ucrpq.of_crpq q2) with
     | Some b -> Format.printf "%b@." b
     | None ->
       Format.printf "undecided@.";

@@ -93,9 +93,13 @@ let node_semantics_only sem =
   | Semantics.A_edge_inj | Semantics.Q_edge_inj ->
     invalid_arg "Containment: edge semantics not supported (Section 7)"
 
-let check_arity q1 q2 =
-  if List.length q1.Crpq.free <> List.length q2.Crpq.free then
-    invalid_arg "Containment: queries of different arities"
+let check_arity lhs rhs =
+  match lhs @ rhs with
+  | [] -> ()
+  | (q : Crpq.t) :: qs ->
+    let arity (p : Crpq.t) = List.length p.Crpq.free in
+    if List.exists (fun p -> arity p <> arity q) qs then
+      invalid_arg "Containment: queries of different arities"
 
 (* Expansion-side rhs checks are the deciders' evaluation workload; the
    caller attribution makes their bulk-engine consumption visible as
@@ -211,11 +215,11 @@ let supervised ?guard f =
   | Error trip -> resource_exhausted trip
 
 let finite_lhs ?guard sem q1 q2 =
-  check_arity q1 q2;
+  check_arity [ q1 ] [ q2 ];
   supervised ?guard (fun () -> search sem ~max_len:None [ q1 ] [ q2 ])
 
 let bounded ?guard sem ~max_len q1 q2 =
-  check_arity q1 q2;
+  check_arity [ q1 ] [ q2 ];
   supervised ?guard (fun () -> search sem ~max_len:(Some max_len) [ q1 ] [ q2 ])
 
 (* Both injective containments imply the standard one (§4.1), and the
@@ -224,28 +228,30 @@ let bounded ?guard sem ~max_len q1 q2 =
    enumerated.  It can never certify a pair that is not St-contained:
    where it declines, the bounded search runs as before and returns the
    same witness or budget exhaustion. *)
-let certified_search sem ~bound lhs rhs =
+let certified_bounded sem ~bound lhs rhs =
   let certified () =
     try Containment_qinj.certify_union lhs rhs
     with Containment_qinj.Unsupported _ -> false
   in
-  if sem = Semantics.St && certified () then Contained
-  else search sem ~max_len:(Some bound) lhs rhs
-
-let certified_bounded sem ~bound q1 q2 =
-  supervised (fun () -> certified_search sem ~bound [ q1 ] [ q2 ])
+  supervised (fun () ->
+      if sem = Semantics.St && certified () then Contained
+      else search sem ~max_len:(Some bound) lhs rhs)
 
 (* ------------------------------------------------------------------ *)
 (* Dispatcher                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* The procedures of Figure 1, over a union of left queries and a union
+   of right ones.  CQ/CQ, RPQ inclusion and Prop F.7 are single-query
+   procedures and carry the pair they apply to; the others take both
+   unions whole. *)
 type strategy =
   | S_trivial
-  | S_cq_cq
-  | S_rpq
+  | S_cq_cq of Crpq.t * Crpq.t
+  | S_rpq of Crpq.t * Crpq.t
   | S_finite_lhs
   | S_qinj_abstraction
-  | S_f7
+  | S_f7 of Crpq.t * Crpq.t
   | S_bounded
 
 (* Binary RPQ shape Q(x, y) = x -[L]-> y: containment coincides with
@@ -259,27 +265,31 @@ let rpq_shape (q : Crpq.t) =
     Some a.Crpq.lang
   | _ -> None
 
-let pick_strategy sem q1 q2 =
+let pick_strategy sem lhs rhs =
   (* [has_empty_language] is the cheap syntactic check (one regex walk
      per atom, what the lint pass reports as E001); it short-circuits
      the exponential disjunct computation for the common degenerate
      case of an unsatisfiable left query *)
-  if Crpq.has_empty_language q1 || Crpq.epsilon_free_disjuncts q1 = [] then S_trivial
-  else if Crpq.is_cq q1 && Crpq.is_cq q2 then S_cq_cq
-  else if rpq_shape q1 <> None && rpq_shape q2 <> None then S_rpq
-  else if Crpq.is_finite q1 then S_finite_lhs
-  else if sem = Semantics.Q_inj then S_qinj_abstraction
-  else if sem = Semantics.St && Crpq.is_cq q2 then S_f7
-  else S_bounded
+  let unsatisfiable q =
+    Crpq.has_empty_language q || Crpq.epsilon_free_disjuncts q = []
+  in
+  match lhs, rhs with
+  | _ when List.for_all unsatisfiable lhs -> S_trivial
+  | [ q1 ], [ q2 ] when Crpq.is_cq q1 && Crpq.is_cq q2 -> S_cq_cq (q1, q2)
+  | [ q1 ], [ q2 ] when rpq_shape q1 <> None && rpq_shape q2 <> None -> S_rpq (q1, q2)
+  | _ when List.for_all Crpq.is_finite lhs -> S_finite_lhs
+  | _ when sem = Semantics.Q_inj -> S_qinj_abstraction
+  | [ q1 ], [ q2 ] when sem = Semantics.St && Crpq.is_cq q2 -> S_f7 (q1, q2)
+  | _ -> S_bounded
 
 let strategy_name sem q1 q2 =
-  match pick_strategy sem q1 q2 with
+  match pick_strategy sem [ q1 ] [ q2 ] with
   | S_trivial -> "trivial (unsatisfiable left query)"
-  | S_cq_cq -> "cq-homomorphism"
-  | S_rpq -> "regular-language inclusion (RPQ/RPQ)"
+  | S_cq_cq _ -> "cq-homomorphism"
+  | S_rpq _ -> "regular-language inclusion (RPQ/RPQ)"
   | S_finite_lhs -> "finite-expansion enumeration"
   | S_qinj_abstraction -> "abstraction algorithm (Thm 5.1)"
-  | S_f7 -> "window algorithm (Prop F.7)"
+  | S_f7 _ -> "window algorithm (Prop F.7)"
   | S_bounded when sem = Semantics.St ->
     "Thm 5.1 certificate, then bounded counterexample search"
   | S_bounded -> "bounded counterexample search"
@@ -295,15 +305,17 @@ let cq_fallback_witness sem q1 q2 =
     (* should not happen: cq_cq said not contained *)
     assert false
 
-let decide_impl ~bound sem q1 q2 =
+let witness_of e = Not_contained { expansion = e; tuple = snd (Expansion.to_graph e) }
+
+let decide_impl ~bound sem lhs rhs =
   node_semantics_only sem;
-  check_arity q1 q2;
-  match pick_strategy sem q1 q2 with
+  check_arity lhs rhs;
+  match pick_strategy sem lhs rhs with
   | S_trivial -> Contained
-  | S_cq_cq ->
+  | S_cq_cq (q1, q2) ->
     let c1 = Option.get (Crpq.to_cq q1) and c2 = Option.get (Crpq.to_cq q2) in
     if cq_cq sem c1 c2 then Contained else cq_fallback_witness sem q1 q2
-  | S_rpq -> begin
+  | S_rpq (q1, q2) -> begin
     let l1 = Option.get (rpq_shape q1) and l2 = Option.get (rpq_shape q2) in
     if Dfa.included (Crpq.nfa l1) (Crpq.nfa l2) then Contained
     else begin
@@ -315,42 +327,41 @@ let decide_impl ~bound sem q1 q2 =
       let d2 = Dfa.of_nfa ~alphabet (Crpq.nfa l2) in
       match Dfa.shortest_word (Dfa.intersect d1 (Dfa.complement d2)) with
       | None -> assert false
-      | Some w ->
-        let e = Expansion.expand q1 [| w |] in
-        Not_contained { expansion = e; tuple = snd (Expansion.to_graph e) }
+      | Some w -> witness_of (Expansion.expand q1 [| w |])
     end
   end
-  | S_finite_lhs -> finite_lhs sem q1 q2
+  | S_finite_lhs -> supervised (fun () -> search sem ~max_len:None lhs rhs)
   | S_qinj_abstraction -> begin
-    match Containment_qinj.decide q1 q2 with
+    match Containment_qinj.decide_union lhs rhs with
     | Containment_qinj.Qinj_contained -> Contained
-    | Containment_qinj.Qinj_not_contained e ->
-      Not_contained { expansion = e; tuple = snd (Expansion.to_graph e) }
+    | Containment_qinj.Qinj_not_contained e -> witness_of e
     | exception Containment_qinj.Unsupported msg ->
       with_note
         ("abstraction algorithm unsupported: " ^ msg)
-        (bounded sem ~max_len:bound q1 q2)
+        (supervised (fun () -> search sem ~max_len:(Some bound) lhs rhs))
   end
-  | S_f7 -> begin
+  | S_f7 (q1, q2) -> begin
     match Containment_f7.decide_st q1 q2 with
     | Containment_f7.F7_contained -> Contained
-    | Containment_f7.F7_not_contained e ->
-      Not_contained { expansion = e; tuple = snd (Expansion.to_graph e) }
+    | Containment_f7.F7_not_contained e -> witness_of e
     | exception Containment_f7.Unsupported msg ->
       with_note
         ("window algorithm unsupported: " ^ msg)
-        (certified_bounded sem ~bound q1 q2)
+        (certified_bounded sem ~bound lhs rhs)
   end
-  | S_bounded -> certified_bounded sem ~bound q1 q2
+  | S_bounded -> certified_bounded sem ~bound lhs rhs
 
-let decide ?(bound = 4) ?guard sem q1 q2 =
+let decide_union ?(bound = 4) ?guard sem lhs rhs =
   Obs.Metrics.incr m_decisions;
-  let q1 = Eval.preprocess sem q1 and q2 = Eval.preprocess sem q2 in
+  let lhs = List.map (Eval.preprocess sem) lhs
+  and rhs = List.map (Eval.preprocess sem) rhs in
   let go () =
     Guard.checkpoint "containment.decide";
     if Obs.Trace.enabled () then
       Obs.Trace.span "containment.decide" (fun () ->
-          decide_impl ~bound sem q1 q2)
-    else decide_impl ~bound sem q1 q2
+          decide_impl ~bound sem lhs rhs)
+    else decide_impl ~bound sem lhs rhs
   in
   supervised ?guard go
+
+let decide ?bound ?guard sem q1 q2 = decide_union ?bound ?guard sem [ q1 ] [ q2 ]

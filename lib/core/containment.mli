@@ -24,6 +24,11 @@
       [Contained] with no expansion enumerated; otherwise the bounded
       search runs.  The same order applies where Prop F.7 declines.
 
+    One dispatcher, {!decide_union}, chooses among them for unions of
+    queries on either side ({!decide} is its singleton case); the CQ/CQ,
+    RPQ-inclusion and Prop F.7 procedures apply only when each side is a
+    single query.
+
     Only the three node semantics are supported; the containment theory
     for trail semantics is future work in the paper (Section 7). *)
 
@@ -68,8 +73,7 @@ val with_note : string -> verdict -> verdict
 (** Attach context to an [Unknown] verdict; other verdicts pass through. *)
 
 val reason_to_string : reason -> string
-(** Canonical rendering used by {!pp_verdict} (and by {!Ucrpq.contained},
-    so the two deciders report budget exhaustion identically). *)
+(** Canonical rendering used by {!pp_verdict}. *)
 
 val verdict_name : verdict -> string
 (** ["contained"], ["not-contained"] or ["unknown"]: the verdict as the
@@ -93,10 +97,9 @@ val is_counterexample : Semantics.t -> Crpq.t -> Expansion.expanded -> bool
     @raise Invalid_argument on edge semantics or arity mismatch. *)
 val cq_cq : Semantics.t -> Cq.t -> Cq.t -> bool
 
-(** The ★-expansion search shared by every expansion-based decider,
-    including the union one ({!Ucrpq.contained}): enumerate, one ε-free
-    disjunct of each left query at a time, the ★-expansions of the left
-    queries — all of them when [max_len] is [None] (every left query
+(** The ★-expansion search shared by every expansion-based decider:
+    enumerate, one ε-free disjunct of each left query at a time, the
+    ★-expansions of the left queries — all of them when [max_len] is [None] (every left query
     must be in CRPQ{^ fin}), else those with per-atom words of length at
     most [max_len] — and return the first that defeats {e every} right
     query.  Exhausting the space gives [Contained] for [None] and
@@ -120,26 +123,36 @@ val finite_lhs : ?guard:Guard.t -> Semantics.t -> Crpq.t -> Crpq.t -> verdict
 val bounded :
   ?guard:Guard.t -> Semantics.t -> max_len:int -> Crpq.t -> Crpq.t -> verdict
 
-(** The standard-semantics fallback shared by {!decide} and
-    {!Ucrpq.contained}: under [St], [Contained] when the Theorem 5.1
-    algorithm proves the query-injective containment of the unions
-    [lhs] ⊆ [rhs] (which implies the standard one); otherwise, and
-    under the other semantics, [search sem ~max_len:(Some bound) lhs
-    rhs].  The certificate never holds for a pair that is not
-    St-contained, so every [Not_contained] witness is the one the
-    search alone returns.  No guard boundary of its own.
-    @raise Invalid_argument on edge semantics. *)
-val certified_search :
-  Semantics.t -> bound:int -> Crpq.t list -> Crpq.t list -> verdict
-
 (** Dispatching decider; picks the best available procedure.  [bound]
     (default 4) controls the fallback bounded search.  [guard] (or an
     ambient {!Guard.with_guard}) bounds the whole decision: on a trip the
     result is [Unknown (Resource_exhausted _)] rather than an exception,
     so [decide] under a guard always returns.  Both queries first go
-    through the installed pre-pass, {!Eval.preprocess}. *)
+    through the installed pre-pass, {!Eval.preprocess}.  Same as
+    [decide_union sem [q1] [q2]]. *)
 val decide :
   ?bound:int -> ?guard:Guard.t -> Semantics.t -> Crpq.t -> Crpq.t -> verdict
+
+(** [decide_union sem lhs rhs] decides whether the union of [lhs] is
+    contained in the union of [rhs]
+    ({m \bigvee_i P_i \subseteq \bigvee_j R_j}): a counterexample is a
+    ★-expansion of some left query that defeats {e every} right query.
+    The one dispatcher behind {!decide} and {!Ucrpq.contained}.  The
+    CQ/CQ, RPQ-inclusion and Prop F.7 procedures need a single query on
+    each side; the trivial check (every left query unsatisfiable),
+    finite-expansion enumeration, the Theorem 5.1 algorithm (with the
+    bounded search, and a note, where it declines) and the
+    certificate-first bounded search take whole unions.  Every query
+    goes through {!Eval.preprocess}; [bound] and [guard] are as for
+    {!decide}.
+    @raise Invalid_argument on edge semantics or mixed arities. *)
+val decide_union :
+  ?bound:int ->
+  ?guard:Guard.t ->
+  Semantics.t ->
+  Crpq.t list ->
+  Crpq.t list ->
+  verdict
 
 (** Name of the procedure {!decide} would use (for reporting).  Under
     standard semantics the bounded search is named after the Theorem 5.1

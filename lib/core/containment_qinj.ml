@@ -928,15 +928,11 @@ type refutation =
   | Evaluated of Expansion.expanded
   | Abstraction of Word.t array
 
-(* How a disjunct's abstractions are searched: [`Certify] over the
-   minimal values only; [`Witness] over them first and, only if that
-   refutes, over the full product in its order, for the first refuting
-   abstraction there; [`Full] over the full product alone. *)
-type search = [ `Certify | `Witness | `Full ]
-
 (* The first left disjunct that escapes the right union, with how, and
-   the search-space sizes. *)
-let first_refutation ~(search : search) lhs_union rhs_union =
+   the search-space sizes.  Each disjunct's abstractions range over the
+   product of the ⊆-minimal values, or of all values when [minimal] is
+   false (the reference search). *)
+let first_refutation ~minimal lhs_union rhs_union =
   let arity =
     match lhs_union @ rhs_union with
     | [] -> invalid_arg "Containment_qinj.decide_union: empty union"
@@ -1028,7 +1024,8 @@ let first_refutation ~(search : search) lhs_union rhs_union =
           (* the first abstraction of the product with no compatible type *)
           let natoms = Array.length lhs.l_atoms in
           let alpha = Array.make natoms (fst values_per_atom.(0)).(0) in
-          let rec first values_per_atom ai =
+          let domains = Array.map (if minimal then snd else fst) values_per_atom in
+          let rec first ai =
             Guard.checkpoint "qinj.abstractions";
             if ai = natoms then begin
               incr abstractions_checked;
@@ -1041,12 +1038,12 @@ let first_refutation ~(search : search) lhs_union rhs_union =
               else Some (Abstraction (Array.map (fun v -> v.v_witness) alpha))
             end
             else begin
-              let vs = values_per_atom.(ai) in
+              let vs = domains.(ai) in
               let rec try_value k =
                 if k = Array.length vs then None
                 else begin
                   alpha.(ai) <- vs.(k);
-                  match first values_per_atom (ai + 1) with
+                  match first (ai + 1) with
                   | None -> try_value (k + 1)
                   | found -> found
                 end
@@ -1054,13 +1051,7 @@ let first_refutation ~(search : search) lhs_union rhs_union =
               try_value 0
             end
           in
-          let full () = first (Array.map fst values_per_atom) 0 in
-          match search with
-          | `Full -> full ()
-          | (`Certify | `Witness) as search -> (
-            match first (Array.map snd values_per_atom) 0 with
-            | Some _ when search = `Witness -> full ()
-            | found -> found)
+          first 0
         end
     end
   in
@@ -1081,9 +1072,9 @@ let first_refutation ~(search : search) lhs_union rhs_union =
 
 let traced f = if Obs.Trace.enabled () then Obs.Trace.span "qinj.decide" f else f ()
 
-let decide_search search lhs_union rhs_union =
+let decide_search ~minimal lhs_union rhs_union =
   traced (fun () ->
-      let refuted, stats = first_refutation ~search lhs_union rhs_union in
+      let refuted, stats = first_refutation ~minimal lhs_union rhs_union in
       let result =
         match refuted with
         | None -> Qinj_contained
@@ -1097,16 +1088,14 @@ let decide_search search lhs_union rhs_union =
       in
       (result, stats))
 
-let decide_union_with_stats = decide_search `Witness
-
-let decide_union lhs rhs = fst (decide_union_with_stats lhs rhs)
+let decide_union lhs rhs = fst (decide_search ~minimal:true lhs rhs)
 
 let certify_union lhs_union rhs_union =
   traced (fun () ->
-      Option.is_none (fst (first_refutation ~search:`Certify lhs_union rhs_union)))
+      Option.is_none (fst (first_refutation ~minimal:true lhs_union rhs_union)))
 
-let decide_with_stats q1 q2 = decide_union_with_stats [ q1 ] [ q2 ]
+let decide_with_stats q1 q2 = decide_search ~minimal:true [ q1 ] [ q2 ]
 
 let decide q1 q2 = fst (decide_with_stats q1 q2)
 
-let decide_full_search q1 q2 = decide_search `Full [ q1 ] [ q2 ]
+let decide_full_search q1 q2 = decide_search ~minimal:false [ q1 ] [ q2 ]

@@ -41,13 +41,11 @@
       value contains a ⊆-minimal achievable one, so some abstraction
       admits no compatible type iff some abstraction of minimal values
       does.  Each left disjunct is therefore searched over the product
-      of the minimal values first, which settles containment; only when
-      that search refutes is the full product searched, in its order,
-      for the first refuting abstraction there, so the witness is the
-      one the full search alone returns.  The morphism types pulled are
-      the same either way: the first type compatible with an abstraction
-      comes no later than the first compatible with a minimal
-      abstraction below it.
+      of the minimal values only, and the witness words of the first
+      refuting abstraction there give the counterexample.  The morphism
+      types pulled are those the full product's search pulls: the first
+      type compatible with an abstraction comes no later than the first
+      compatible with a minimal abstraction below it.
 
     Representation: a relation over the {m n} states of
     {m \mathcal A_{Q_2}} is {m n} packed bit rows of
@@ -68,8 +66,7 @@
     {!Unsupported} when exceeded: 60,000 tracker states per language,
     50,000 morphism types and 400,000 abstractions per decision.  The caps
     count work actually done: tracker states explored, morphism types
-    pulled from the enumeration and abstractions checked (in both
-    searches), and so do the [stats] fields and the [qinj.*]
+    pulled from the enumeration and abstractions checked, and so do the [stats] fields and the [qinj.*]
     counters. *)
 
 exception Unsupported of string
@@ -102,18 +99,19 @@ val decide_union : Crpq.t list -> Crpq.t list -> result
 
 (** [certify_union lhs rhs] is [true] exactly when {!decide_union}
     answers [Qinj_contained], but it stops at the first abstraction of
-    minimal values with no compatible morphism type, without searching
-    the full product for {!decide_union}'s witness, building it or
-    re-verifying it.  A left disjunct without atoms,
+    minimal values with no compatible morphism type, without building
+    {!decide_union}'s witness or re-verifying it.  A left disjunct without atoms,
     or a right union without satisfiable atoms, is still settled by
     evaluating an expansion, since there evaluation is the decision.
     @raise Unsupported as {!decide_union} does. *)
 val certify_union : Crpq.t list -> Crpq.t list -> bool
 
 (** Same as {!decide_with_stats}, but every abstraction search runs
-    over the full product of achievable values, without the minimal
-    values first.  A reference for tests: it reaches the same verdict
-    and witness, and pulls the same morphism types. *)
+    over the full product of achievable values instead of the minimal
+    ones.  A reference for tests: it reaches the same verdict
+    and pulls the same morphism types; its witness, from the first
+    refuting abstraction of the full product, may differ from
+    {!decide_with_stats}'s. *)
 val decide_full_search : Crpq.t -> Crpq.t -> result * stats
 
 (** Normalization of Remark C.1: concatenate away non-free variables with

@@ -1,11 +1,3 @@
-let equivalent ?bound sem q1 q2 =
-  match
-    ( Containment.verdict_bool (Containment.decide ?bound sem q1 q2),
-      Containment.verdict_bool (Containment.decide ?bound sem q2 q1) )
-  with
-  | Some a, Some b -> Some (a && b)
-  | _ -> None
-
 let is_satisfiable q = Crpq.epsilon_free_disjuncts q <> []
 
 let prune_languages (q : Crpq.t) =

@@ -1,14 +1,10 @@
-(** Containment-based helpers for static optimization of CRPQs — the
-    paper's motivating application of the containment problem
-    (Section 1).  Dropping redundant atoms is the certified rewrite
-    engine's job ([Rewrite] in the analysis layer): redundancy is
-    semantics-dependent, and an atom implied under standard semantics
-    can be load-bearing under an injective one (see
+(** Helpers for static optimization of CRPQs — the paper's motivating
+    application of the containment problem (Section 1).  Equivalence is
+    mutual containment, {!Ucrpq.equivalent}.  Dropping redundant atoms
+    is the certified rewrite engine's job ([Rewrite] in the analysis
+    layer): redundancy is semantics-dependent, and an atom implied under
+    standard semantics can be load-bearing under an injective one (see
     [examples/query_optimizer.ml]). *)
-
-(** [equivalent sem q1 q2]: mutual containment; [None] when either
-    direction is undecided by the exact procedures / bounded search. *)
-val equivalent : ?bound:int -> Semantics.t -> Crpq.t -> Crpq.t -> bool option
 
 (** [is_satisfiable q]: does the query have any expansion (i.e. any
     answer on some database)?  Independent of the semantics. *)

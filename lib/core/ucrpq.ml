@@ -51,35 +51,10 @@ let eval_bool sem u g = List.exists (fun q -> Eval.eval_bool sem q g) u.disjunct
 (* Containment                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let contained_impl ~bound sem u1 u2 =
+let contained ?bound ?guard sem u1 u2 =
   if u1.arity <> u2.arity then
     invalid_arg "Ucrpq.contained: unions of different arities";
-  let lhs = u1.disjuncts and rhs = u2.disjuncts in
-  let all_finite = List.for_all Crpq.is_finite lhs in
-  if sem = Semantics.Q_inj && not all_finite then begin
-    match Containment_qinj.decide_union lhs rhs with
-    | Containment_qinj.Qinj_contained -> Containment.Contained
-    | Containment_qinj.Qinj_not_contained e ->
-      Containment.Not_contained
-        { Containment.expansion = e; tuple = snd (Expansion.to_graph e) }
-    | exception Containment_qinj.Unsupported msg ->
-      Containment.Unknown
-        (Containment.Undecided ("abstraction algorithm unsupported: " ^ msg))
-  end
-  else if all_finite then Containment.search sem ~max_len:None lhs rhs
-  else Containment.certified_search sem ~bound lhs rhs
-
-let contained ?(bound = 4) ?guard sem u1 u2 =
-  let go () =
-    Guard.checkpoint "ucrpq.contained";
-    if Obs.Trace.enabled () then
-      Obs.Trace.span "ucrpq.contained" (fun () ->
-          contained_impl ~bound sem u1 u2)
-    else contained_impl ~bound sem u1 u2
-  in
-  match Guard.supervise ?guard go with
-  | Ok v -> v
-  | Error trip -> Containment.resource_exhausted trip
+  Containment.decide_union ?bound ?guard sem u1.disjuncts u2.disjuncts
 
 let equivalent ?bound ?guard sem u1 u2 =
   match

@@ -35,15 +35,9 @@ val eval_bool : Semantics.t -> t -> Graph.t -> bool
 
 (** {1 Containment}
 
-    Same verdict semantics as {!Containment}: [Contained] /
-    [Not_contained] are exact, [Unknown] marks bounded-search
-    exhaustion.  Exact procedures: query-injective via the union-aware
-    Theorem 5.1 algorithm; any semantics when every left disjunct is in
-    CRPQ{^ fin}.  Otherwise the bounded search of
-    {!Containment.certified_search} runs; under standard semantics it
-    first asks the union-aware Theorem 5.1 algorithm, whose
-    query-injective certificate implies standard containment, so such
-    unions are settled [Contained] with no expansion enumerated. *)
+    Same verdicts, from the same dispatcher, as {!Containment}:
+    [contained] is {!Containment.decide_union} on the disjuncts, so a
+    singleton union gets exactly {!Containment.decide}'s answer. *)
 
 (** @raise Invalid_argument on edge semantics or unions of different
     arities. *)

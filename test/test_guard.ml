@@ -327,7 +327,7 @@ let site_workloads =
           (Containment.bounded Semantics.Q_inj ~max_len:2
              (q "x -[ab]-> y, y -[a+]-> z")
              (q "x -[(a|b)+]-> z")) );
-    ( "ucrpq.contained",
+    ( "containment.decide (Ucrpq.contained)",
       fun () ->
         ignore
           (Ucrpq.contained Semantics.St

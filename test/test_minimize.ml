@@ -1,13 +1,5 @@
 let check = Alcotest.check
 
-let test_equivalent () =
-  let q1 = Crpq.parse "Q(x, y) :- x -[a+]-> y" in
-  let q2 = Crpq.parse "Q(x, y) :- x -[a|aa+]-> y" in
-  check (Alcotest.option Alcotest.bool) "a+ = a|aa+" (Some true)
-    (Minimize.equivalent Semantics.Q_inj q1 q2);
-  check (Alcotest.option Alcotest.bool) "a+ <> a*" (Some false)
-    (Minimize.equivalent Semantics.Q_inj q1 (Crpq.parse "Q(x, y) :- x -[a*]-> y"))
-
 let test_satisfiable () =
   check Alcotest.bool "sat" true (Minimize.is_satisfiable (Crpq.parse "x -[a]-> y"));
   check Alcotest.bool "unsat" false (Minimize.is_satisfiable (Crpq.parse "x -[!]-> y"))
@@ -49,7 +41,6 @@ let () =
     [
       ( "unit",
         [
-          Alcotest.test_case "equivalent" `Quick test_equivalent;
           Alcotest.test_case "satisfiable" `Quick test_satisfiable;
           Alcotest.test_case "prune languages" `Quick test_prune_languages;
         ] );

@@ -73,7 +73,13 @@ let test_equivalent () =
   check (Alcotest.option Alcotest.bool) "equivalent" (Some true)
     (Ucrpq.equivalent Semantics.St left right);
   check (Alcotest.option Alcotest.bool) "not equivalent" (Some false)
-    (Ucrpq.equivalent Semantics.St left (u [ "x -[a]-> y" ]))
+    (Ucrpq.equivalent Semantics.St left (u [ "x -[a]-> y" ]));
+  (* single queries: equivalence of singleton unions *)
+  let a_plus = u [ "Q(x, y) :- x -[a+]-> y" ] in
+  check (Alcotest.option Alcotest.bool) "a+ = a|aa+" (Some true)
+    (Ucrpq.equivalent Semantics.Q_inj a_plus (u [ "Q(x, y) :- x -[a|aa+]-> y" ]));
+  check (Alcotest.option Alcotest.bool) "a+ <> a*" (Some false)
+    (Ucrpq.equivalent Semantics.Q_inj a_plus (u [ "Q(x, y) :- x -[a*]-> y" ]))
 
 let prop_union_monotone =
   Testutil.qtest ~count:40 "evaluation is monotone in the union"
@@ -172,16 +178,32 @@ let test_st_certified_union () =
   check Alcotest.string "union" "contained"
     (name (Ucrpq.contained Semantics.St (u [ lhs ]) (u [ rhs ])))
 
-(* On a singleton union outside the q-inj abstraction branch, the union
-   decider runs the single-query ★-expansion search: same verdict, same
-   witness expansion and, on budget exhaustion, the same search size as
-   [Containment.finite_lhs] (finite left side) or [Containment.bounded].
-   The one difference: under st a Theorem 5.1 certificate turns the
-   bounded search's budget exhaustion into [Contained], as in
-   [Containment.decide]. *)
+(* Singleton unions whose pair only a single-query procedure decides
+   exactly: RPQ inclusion under a-inj, the Prop F.7 window algorithm
+   under st.  A union decider with its own, smaller strategy list
+   answers these [unknown]. *)
+let test_single_query_procedures () =
+  List.iter
+    (fun (sem, lhs, rhs) ->
+      check Alcotest.string
+        (Printf.sprintf "%s: %s <= %s" (Semantics.to_string sem) lhs rhs)
+        "contained"
+        (Containment.verdict_name (Ucrpq.contained sem (u [ lhs ]) (u [ rhs ]))))
+    [
+      (Semantics.A_inj, "Q(x, y) :- x -[a+]-> y", "Q(x, y) :- x -[a*]-> y");
+      (Semantics.A_inj, "Q(x, y) :- x -[(ab)+]-> y", "Q(x, y) :- x -[a(ba)*b]-> y");
+      (Semantics.St, "Q(x, y) :- x -[aa*]-> y", "Q(x, y) :- x -[a]-> z");
+      ( Semantics.St,
+        "Q(x, y) :- x -[a+]-> y, y -[b]-> z",
+        "Q(x, y) :- x -[a]-> w, u -[b]-> z" );
+    ]
+
+(* A singleton union is decided by [Containment.decide] itself: same
+   verdict, same witness expansion and tuple, and, on budget
+   exhaustion, the same search size. *)
 let prop_singleton_matches_containment =
   let bound = 2 in
-  Testutil.qtest ~count:40 "singleton union search = Containment search"
+  Testutil.qtest ~count:40 "singleton union = Containment.decide"
     QCheck2.Gen.(
       let* arity = int_bound 2 in
       let* q1 = Testutil.gen_crpq ~max_atoms:2 ~arity () in
@@ -189,23 +211,7 @@ let prop_singleton_matches_containment =
       let* sem = oneofl Semantics.node_semantics in
       return (q1, q2, sem))
     (fun (q1, q2, sem) ->
-      let finite = Crpq.is_finite q1 in
-      QCheck2.assume (finite || sem <> Semantics.Q_inj);
-      let single =
-        if finite then Containment.finite_lhs sem q1 q2
-        else
-          let certified () =
-            match Containment_qinj.decide q1 q2 with
-            | Containment_qinj.Qinj_contained -> true
-            | Containment_qinj.Qinj_not_contained _
-            | (exception Containment_qinj.Unsupported _) ->
-              false
-          in
-          match Containment.bounded sem ~max_len:bound q1 q2 with
-          | Containment.Unknown _ when sem = Semantics.St && certified () ->
-            Containment.Contained
-          | v -> v
-      in
+      let single = Containment.decide ~bound sem q1 q2 in
       let union = Ucrpq.contained ~bound sem (Ucrpq.of_crpq q1) (Ucrpq.of_crpq q2) in
       let same =
         match single, union with
@@ -213,10 +219,8 @@ let prop_singleton_matches_containment =
         | Containment.Not_contained w1, Containment.Not_contained w2 ->
           w1.Containment.expansion.Expansion.cq = w2.Containment.expansion.Expansion.cq
           && w1.Containment.tuple = w2.Containment.tuple
-        | ( Containment.Unknown (Containment.Budget_exhausted e1),
-            Containment.Unknown (Containment.Budget_exhausted e2) ) ->
-          e1.Containment.expansions_enumerated = e2.Containment.expansions_enumerated
-          && e1.Containment.bound_reached = e2.Containment.bound_reached
+        | Containment.Unknown r1, Containment.Unknown r2 ->
+          Containment.reason_to_string r1 = Containment.reason_to_string r2
         | _ -> false
       in
       if same then true
@@ -240,6 +244,8 @@ let () =
           Alcotest.test_case "equivalent" `Quick test_equivalent;
           Alcotest.test_case "st union settled by Theorem 5.1" `Quick
             test_st_certified_union;
+          Alcotest.test_case "single-query procedures" `Quick
+            test_single_query_procedures;
         ] );
       ( "properties",
         [

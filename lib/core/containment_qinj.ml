@@ -321,9 +321,15 @@ let compose (aq : aq2) lt src soff dst doff =
 
 (* A tracker state is [len] words: the relations rel, plus, gap, infix
    and sufrel ([n] rows each, in this order), the preffinal row, the
-   reached states of the atom's own NFA as a bit set, and a final
-   nonempty flag.  A value is the prefix holding rel, plus, gap and
-   infix. *)
+   reached states of the atom's own NFA as a bit row, and a nonempty
+   flag, set on every state but the start (the empty word).  A value is
+   the prefix holding rel, plus, gap and infix.
+
+   Every step is monotone: if state s is below s' (each relation and
+   preffinal bit of s is in s', each atom-NFA state of s' is in s, and
+   the flags are equal), then on every letter the successor of s is
+   below that of s', s accepts whenever s' does, and the value of s is
+   ⊆ that of s'. *)
 
 (* the multiply carries bits upward only, so each word's high bits
    (bit 62 included) are folded down before it *)
@@ -338,6 +344,12 @@ let hash_words a off len =
 let rec equal_words a aoff b boff len =
   len = 0 || (a.(aoff) = b.(boff) && equal_words a (aoff + 1) b (boff + 1) (len - 1))
 
+(* the words [k .. stop) of [a] at [aoff] are bitwise ⊆ those of [b] at
+   [boff] *)
+let rec subset_words a aoff b boff k stop =
+  k = stop
+  || (a.(aoff + k) land lnot b.(boff + k) = 0 && subset_words a aoff b boff (k + 1) stop)
+
 module Words = Hashtbl.Make (struct
   type t = int array
 
@@ -347,11 +359,14 @@ module Words = Hashtbl.Make (struct
 end)
 
 (* The states a tracker has found, in discovery order, [len] words each
-   in one growing arena, with an open-addressing index over them.  The
-   breadth-first queue is the part of the arena past the state being
-   expanded, and a witness is read back through [parent]/[letter]. *)
+   in one arena, with an open-addressing index over them.  The arena
+   and the index start with room for one state and double as needed.
+   The breadth-first queue is the part of the arena past the state
+   being expanded, and a witness is read back through
+   [parent]/[letter]. *)
 type states = {
   len : int;
+  lbits : int;  (** offset of the atom-NFA states; the flag is the last word *)
   mutable arena : int array;
   mutable count : int;
   mutable parent : int array;  (** the state each was reached from *)
@@ -368,11 +383,16 @@ let rec probe st a off s =
 let slot_of st a off =
   probe st a off (hash_words a off st.len land (Array.length st.slots - 1))
 
+let doubled a fill =
+  let b = Array.make (2 * Array.length a) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
 (* doubles the room for states *)
 let grow st =
-  st.arena <- Array.append st.arena (Array.make (st.count * st.len) 0);
-  st.parent <- Array.append st.parent (Array.make st.count 0);
-  st.letter <- Array.append st.letter (Array.make st.count "")
+  st.arena <- doubled st.arena 0;
+  st.parent <- doubled st.parent 0;
+  st.letter <- doubled st.letter ""
 
 let rehash st =
   st.slots <- Array.make (2 * Array.length st.slots) 0;
@@ -380,10 +400,27 @@ let rehash st =
     st.slots.(slot_of st st.arena (i * st.len)) <- i + 1
   done
 
-(* Adds the state in [buf] unless it is known; [true] when added. *)
-let add_state st buf ~parent ~letter =
+(* some known state is below the state in [buf] *)
+let dominated st buf =
+  let len = st.len and lbits = st.lbits in
+  let rec from i =
+    i < st.count
+    && begin
+         let off = i * len in
+         (st.arena.(off + len - 1) = buf.(len - 1)
+         && subset_words buf 0 st.arena off lbits (len - 1)
+         && subset_words st.arena off buf 0 0 lbits)
+         || from (i + 1)
+       end
+  in
+  from 0
+
+(* Adds the state in [buf] unless it is known or, when [prune], unless a
+   known state is below it; [true] when added. *)
+let add_state ~prune st buf ~parent ~letter =
   let s = slot_of st buf 0 in
   st.slots.(s) = 0
+  && (not (prune && dominated st buf))
   && begin
        if st.count = Array.length st.parent then grow st;
        Array.blit buf 0 st.arena (st.count * st.len) st.len;
@@ -407,78 +444,111 @@ let rel_offset (aq : aq2) kind =
   let r = aq.n * aq.nw in
   match kind with `Rel -> 0 | `Plus -> r | `Gap -> 2 * r | `Infix -> 3 * r
 
-(* All abstraction values achievable by words of L(A), with witnesses,
-   in the order the breadth-first search discovers them. *)
-let achievable_values (aq : aq2) (lang : Regex.t) =
+(* Abstraction values achievable by words of L(A), with witnesses, in
+   the order the breadth-first search discovers them: all of them, or,
+   when [prune], a subset holding every ⊆-minimal one.
+
+   A breadth-first search over letters in a fixed order reaches each
+   state first by its shortlex-least word, so each value's witness is
+   its shortlex-least word.  [prune] drops a successor that a known
+   state is below (forward subsumption, as in the antichain algorithms
+   of De Wulf, Doyen, Henzinger and Raskin).  The path of a minimal
+   value's witness w is never dropped: a known state d below the state
+   reached by a prefix of w was reached by a shortlex-smaller word, and
+   by the rest of w it reaches a value ⊆, hence equal to, the minimal
+   one, which contradicts the choice of w.  So every minimal value
+   comes with the same witness, in the same order, as without [prune]. *)
+let achievable_values ~prune (aq : aq2) (lang : Regex.t) =
   let lnfa = Crpq.nfa lang in
   let n = aq.n and nw = aq.nw in
-  let letters = Regex.alphabet lang in
   let r = n * nw in
   let plus = r and gap = 2 * r and infix = 3 * r and sufrel = 4 * r in
   let preffinal = 5 * r in
   let lbits = preffinal + nw in
-  let len = lbits + Bits.words lnfa.Nfa.nstates + 1 in
-  let lstates = List.init lnfa.Nfa.nstates Fun.id in
-  let lset_of a off = List.filter (fun q -> Bits.mem a (off + lbits) q) lstates in
-  (* [step a off lset letter] writes into [buf] the successor on
-     [letter] of the state at [a.(off ..)], whose reached states are
-     [lset]; [false] when the successor reaches no state *)
+  let ln = lnfa.Nfa.nstates in
+  let lw = Bits.words ln in
+  let len = lbits + lw + 1 in
+  (* per letter of L, in alphabet order: its A_Q2 tables and the atom
+     NFA's transitions on it as [ln] rows *)
+  let letters =
+    List.filter_map
+      (fun letter ->
+        Option.map
+          (fun lt ->
+            let lrows = Array.make (ln * lw) 0 in
+            Array.iteri
+              (fun q out ->
+                List.iter
+                  (fun (x, q') -> if String.equal x letter then Bits.add lrows (q * lw) q')
+                  out)
+              lnfa.Nfa.delta;
+            (letter, lt, lrows))
+          (Hashtbl.find_opt aq.letters letter))
+      (Regex.alphabet lang)
+  in
+  let lfinals = Bits.of_list ~nw:lw (Nfa.final_states lnfa) in
+  let lnext = Array.make lw 0 in
   let buf = Array.make len 0 in
-  let step a off lset letter =
-    match Hashtbl.find_opt aq.letters letter with
-    | None -> false
-    | Some lt ->
-      let lset = Nfa.next_set lnfa lset letter in
-      lset <> []
-      && begin
-           let b = buf in
-           Array.fill b 0 len 0;
-           compose aq lt a off b 0;
-           compose aq lt a (off + plus) b plus;
-           compose aq lt a (off + gap) b gap;
-           compose aq lt a (off + sufrel) b sufrel;
-           (* infix' = infix ∪ sufrel *)
-           Array.blit a (off + infix) b infix r;
-           Bits.or_into ~nw:r a (off + sufrel) b infix;
-           (* gap' ∪= preffinal × img_init *)
+  (* [step a off lt lrows] writes into [buf] the successor, on the letter
+     of [lt] and [lrows], of the state at [a.(off ..)]; [false] when the
+     successor reaches no state of the atom NFA *)
+  let step a off lt lrows =
+    Array.fill lnext 0 lw 0;
+    for q = 0 to ln - 1 do
+      if Bits.mem a (off + lbits) q then Bits.or_into ~nw:lw lrows (q * lw) lnext 0
+    done;
+    (* [lnext] is nonempty *)
+    Bits.intersects ~nw:lw lnext 0 lnext 0
+    && begin
+         let b = buf in
+         Array.fill b 0 len 0;
+         compose aq lt a off b 0;
+         compose aq lt a (off + plus) b plus;
+         compose aq lt a (off + gap) b gap;
+         compose aq lt a (off + sufrel) b sufrel;
+         (* infix' = infix ∪ sufrel *)
+         Array.blit a (off + infix) b infix r;
+         Bits.or_into ~nw:r a (off + sufrel) b infix;
+         (* gap' ∪= preffinal × img_init *)
+         for q = 0 to n - 1 do
+           if Bits.mem a (off + preffinal) q then
+             Bits.or_into ~nw lt.img_init 0 b (gap + (q * nw))
+         done;
+         Array.blit a (off + preffinal) b preffinal nw;
+         if a.(off + len - 1) <> 0 then begin
+           (* for every q whose rel row reaches a final state:
+              plus' ∪= {q} × img_init and preffinal' ∋ q *)
            for q = 0 to n - 1 do
-             if Bits.mem a (off + preffinal) q then
-               Bits.or_into ~nw lt.img_init 0 b (gap + (q * nw))
+             if Bits.intersects ~nw a (off + (q * nw)) aq.finals 0 then begin
+               Bits.or_into ~nw lt.img_init 0 b (plus + (q * nw));
+               Bits.add b preffinal q
+             end
            done;
-           Array.blit a (off + preffinal) b preffinal nw;
-           if a.(off + len - 1) <> 0 then begin
-             (* for every q whose rel row reaches a final state:
-                plus' ∪= {q} × img_init and preffinal' ∋ q *)
-             for q = 0 to n - 1 do
-               if Bits.intersects ~nw a (off + (q * nw)) aq.finals 0 then begin
-                 Bits.or_into ~nw lt.img_init 0 b (plus + (q * nw));
-                 Bits.add b preffinal q
-               end
-             done;
-             (* sufrel' ∪= Δa *)
-             Bits.or_into ~nw:r lt.delta 0 b sufrel
-           end;
-           List.iter (Bits.add b lbits) lset;
-           b.(len - 1) <- 1;
-           true
-         end
+           (* sufrel' ∪= Δa *)
+           Bits.or_into ~nw:r lt.delta 0 b sufrel
+         end;
+         Array.blit lnext 0 b lbits lw;
+         b.(len - 1) <- 1;
+         true
+       end
   in
   let st =
     {
       len;
-      arena = Array.make (16 * len) 0;
+      lbits;
+      arena = Array.make len 0;
       count = 0;
-      parent = Array.make 16 0;
-      letter = Array.make 16 "";
-      slots = Array.make 32 0;
+      parent = [| 0 |];
+      letter = [| "" |];
+      slots = Array.make 2 0;
     }
   in
   for q = 0 to n - 1 do
     Bits.add buf (q * nw) q
   done;
   List.iter (Bits.add buf lbits) lnfa.Nfa.initials;
-  ignore (add_state st buf ~parent:0 ~letter:"");
-  let values = Words.create 64 in
+  ignore (add_state ~prune st buf ~parent:0 ~letter:"");
+  let values = Words.create 1 in
   let found = ref [] in
   let i = ref 0 in
   while !i < st.count do
@@ -490,8 +560,8 @@ let achievable_values (aq : aq2) (lang : Regex.t) =
            (Printf.sprintf "tracker exceeded %d states on language %s"
               max_tracker_states (Regex.to_string lang)));
     let off = !i * len in
-    let lset = lset_of st.arena off in
-    if st.arena.(off + len - 1) <> 0 && List.exists (Nfa.is_final lnfa) lset then begin
+    if st.arena.(off + len - 1) <> 0 && Bits.intersects ~nw:lw st.arena (off + lbits) lfinals 0
+    then begin
       let key = Array.sub st.arena off (4 * r) in
       if not (Words.mem values key) then begin
         Words.replace values key ();
@@ -499,9 +569,9 @@ let achievable_values (aq : aq2) (lang : Regex.t) =
       end
     end;
     List.iter
-      (fun letter ->
-        if step st.arena off lset letter then
-          ignore (add_state st buf ~parent:!i ~letter))
+      (fun (letter, lt, lrows) ->
+        if step st.arena off lt lrows then
+          ignore (add_state ~prune st buf ~parent:!i ~letter))
       letters;
     incr i
   done;
@@ -891,16 +961,15 @@ let compatible (aq : aq2) alpha p = assign ~nw:aq.nw alpha p 0
    when one of its values grows.  Every value contains a ⊆-minimal one,
    so the product of the minimal values refutes whenever the full
    product does. *)
-let subset u v =
-  let rec go i = i = Array.length u || (u.(i) land lnot v.(i) = 0 && go (i + 1)) in
-  go 0
+let subset u v = subset_words u 0 v 0 0 (Array.length u)
 
 (* the ⊆-minimal values of [vs] (which are distinct), in their order *)
 let minimal_values vs =
+  let all = Array.of_list vs in
   Array.of_list
     (List.filter
-       (fun v -> not (Array.exists (fun u -> u != v && subset u.v_rels v.v_rels) vs))
-       (Array.to_list vs))
+       (fun v -> not (Array.exists (fun u -> u != v && subset u.v_rels v.v_rels) all))
+       vs)
 
 (* ------------------------------------------------------------------ *)
 (* Main decision procedure                                             *)
@@ -928,11 +997,9 @@ type refutation =
   | Evaluated of Expansion.expanded
   | Abstraction of Word.t array
 
-(* The first left disjunct that escapes the right union, with how, and
-   the search-space sizes.  Each disjunct's abstractions range over the
-   product of the ⊆-minimal values, or of all values when [minimal] is
-   false (the reference search). *)
-let first_refutation ~minimal lhs_union rhs_union =
+(* The rewritten left and right disjuncts of [lhs_union ⊆ rhs_union],
+   and A_Q2 over their common alphabet ([None] without right atoms). *)
+let rewrite lhs_union rhs_union =
   let arity =
     match lhs_union @ rhs_union with
     | [] -> invalid_arg "Containment_qinj.decide_union: empty union"
@@ -962,19 +1029,29 @@ let first_refutation ~minimal lhs_union rhs_union =
     List.sort_uniq String.compare
       (List.concat_map Crpq.alphabet (lhs_disjuncts @ rhs_disjuncts))
   in
-  let aq2_opt = build_aq2 ~alphabet rhs_disjuncts in
+  (lhs_disjuncts, rhs_disjuncts, build_aq2 ~alphabet rhs_disjuncts)
+
+(* The first left disjunct that escapes the right union, with how, and
+   the search-space sizes.  Each disjunct's abstractions range over the
+   product of the ⊆-minimal values, or of all values when [minimal] is
+   false (the reference search). *)
+let first_refutation ~minimal lhs_union rhs_union =
+  let lhs_disjuncts, rhs_disjuncts, aq2_opt = rewrite lhs_union rhs_union in
   let abstractions_checked = ref 0 in
   let ntypes = ref 0 in
   (* a value array depends only on A_Q2 and the language, so the tracker
-     runs once per language for every left atom of every left disjunct;
-     the minimal values come with it *)
+     runs once per language for every left atom of every left disjunct:
+     pruned and reduced to the minimal values, or exhaustive for the
+     reference search *)
   let values = Hashtbl.create 16 in
   let values_of aq lang =
     match Hashtbl.find_opt values lang with
     | Some vs -> vs
     | None ->
-      let all = Array.of_list (achievable_values aq lang) in
-      let vs = (all, minimal_values all) in
+      let vs =
+        if minimal then minimal_values (achievable_values ~prune:true aq lang)
+        else Array.of_list (achievable_values ~prune:false aq lang)
+      in
       Hashtbl.replace values lang vs;
       vs
   in
@@ -998,7 +1075,7 @@ let first_refutation ~minimal lhs_union rhs_union =
         let values_per_atom =
           Array.map (fun (a : Crpq.atom) -> values_of aq a.Crpq.lang) lhs.l_atoms
         in
-        if Array.exists (fun (vs, _) -> Array.length vs = 0) values_per_atom then
+        if Array.exists (fun vs -> Array.length vs = 0) values_per_atom then
           None (* some language empty: disjunct unsatisfiable *)
         else begin
           let lhs_free =
@@ -1023,8 +1100,7 @@ let first_refutation ~minimal lhs_union rhs_union =
           in
           (* the first abstraction of the product with no compatible type *)
           let natoms = Array.length lhs.l_atoms in
-          let alpha = Array.make natoms (fst values_per_atom.(0)).(0) in
-          let domains = Array.map (if minimal then snd else fst) values_per_atom in
+          let alpha = Array.make natoms values_per_atom.(0).(0) in
           let rec first ai =
             Guard.checkpoint "qinj.abstractions";
             if ai = natoms then begin
@@ -1038,7 +1114,7 @@ let first_refutation ~minimal lhs_union rhs_union =
               else Some (Abstraction (Array.map (fun v -> v.v_witness) alpha))
             end
             else begin
-              let vs = domains.(ai) in
+              let vs = values_per_atom.(ai) in
               let rec try_value k =
                 if k = Array.length vs then None
                 else begin
@@ -1099,3 +1175,16 @@ let decide_with_stats q1 q2 = decide_search ~minimal:true [ q1 ] [ q2 ]
 let decide q1 q2 = fst (decide_with_stats q1 q2)
 
 let decide_full_search q1 q2 = decide_search ~minimal:false [ q1 ] [ q2 ]
+
+let tracker_values ~prune q1 q2 =
+  match rewrite [ q1 ] [ q2 ] with
+  | _, _, None -> []
+  | lhs_disjuncts, _, Some aq ->
+    List.concat_map (fun (d : Crpq.t) -> d.Crpq.atoms) lhs_disjuncts
+    |> List.map (fun (a : Crpq.atom) -> a.Crpq.lang)
+    |> List.sort_uniq Stdlib.compare
+    |> List.map (fun lang ->
+           ( lang,
+             List.map
+               (fun v -> (v.v_rels, v.v_witness))
+               (achievable_values ~prune aq lang) ))

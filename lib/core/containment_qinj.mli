@@ -10,14 +10,25 @@
     + the automaton {m \mathcal A_{Q_2}} is the disjoint union of the NFAs
       of the right-hand atoms, made complete and co-complete;
     + for every distinct language {m L} of a left atom, an incremental
-      tracker explores the words of {m L} and computes the set of
-      achievable {e abstraction values}: the four relations
+      tracker explores the words of {m L} and computes the achievable
+      {e abstraction values}: the four relations
       {m \langle q\text- q'\rangle}, {m \langle q + q'\rangle},
       {m \langle q\,|\!\cdot\!\cdot|\, q'\rangle},
       {m \langle \cdot\!\cdot q\text- q'\cdot\!\cdot\rangle} of Appendix
       C, together with a witness word per value.  A value depends only
       on {m \mathcal A_{Q_2}} and {m L}, so the tracker runs once per
-      language per decision, for all left atoms and left disjuncts;
+      language per decision, for all left atoms and left disjuncts.
+      Every tracker step is monotone in the dominance order on tracker
+      states: {m s \le s'} when the relation and preffinal bits of
+      {m s} are {m \subseteq} those of {m s'}, the reached states of
+      the atom's NFA are {m \supseteq}, and the nonempty flags are
+      equal.  By every word, {m s} then accepts whenever {m s'} does,
+      with a value {m \subseteq} that of {m s'}.  The tracker drops
+      each successor that a known state is below (forward subsumption,
+      as in antichain algorithms), which keeps every {m \subseteq}-minimal
+      value with the witness and the position it has without the
+      pruning.  Only {!decide_full_search} runs the exhaustive
+      tracker;
     + {e morphism types} {m (H,h)} are the injective placements of the
       right query into the graph {m G} that triples every left atom
       (Figure 8).  They are enumerated on demand, as a lazy sequence
@@ -56,9 +67,13 @@
     {m r \circ \Delta_a} is one row OR per nonzero chunk of {m r}); per
     right atom, masks of its initial and final states.  The
     tracker keeps its states as runs of words in one arena, in discovery
-    order, with an open-addressing index over them, and the achievable
-    values of an atom come in that breadth-first order, so each witness
-    word is a shortest word for its value.
+    order, with an open-addressing index over them.  The arena, its
+    parent links and the index start with room for one state and double
+    as needed.  A state holds the reached states of the atom's NFA as a
+    bit row, stepped by per-letter transition rows built once per
+    tracker run.  The letters are taken in alphabet order, so the
+    achievable values of an atom come in breadth-first order and each
+    witness word is the shortlex-least word for its value.
 
     The abstraction spaces are exponential in the query sizes (the
     algorithm is PSPACE; this implementation materializes the guessed
@@ -106,13 +121,26 @@ val decide_union : Crpq.t list -> Crpq.t list -> result
     @raise Unsupported as {!decide_union} does. *)
 val certify_union : Crpq.t list -> Crpq.t list -> bool
 
-(** Same as {!decide_with_stats}, but every abstraction search runs
-    over the full product of achievable values instead of the minimal
-    ones.  A reference for tests: it reaches the same verdict
+(** Same as {!decide_with_stats}, but the tracker explores every
+    state, and every abstraction search runs over the full product of
+    achievable values instead of the minimal ones.  A reference for
+    tests: it reaches the same verdict
     and pulls the same morphism types; its witness, from the first
     refuting abstraction of the full product, may differ from
     {!decide_with_stats}'s. *)
 val decide_full_search : Crpq.t -> Crpq.t -> result * stats
+
+(** [tracker_values ~prune q1 q2] runs the tracker on each distinct
+    atom language of the rewritten [q1], against the
+    {m \mathcal A_{Q_2}} of [q2].  Each language comes with its
+    achievable values, in discovery order.  A value is its four packed
+    relations and its witness word.  [~prune:false] is the exhaustive
+    tracker, which only {!decide_full_search} runs.  [~prune:true] is
+    the pruned tracker of every other search.  It may miss values that
+    are not ⊆-minimal, but it finds every minimal one, with the same
+    witness and in the same order.  A reference for tests. *)
+val tracker_values :
+  prune:bool -> Crpq.t -> Crpq.t -> (Regex.t * (int array * Word.t) list) list
 
 (** Normalization of Remark C.1: concatenate away non-free variables with
     in-degree 1 and out-degree 1 incident to two distinct atoms. *)

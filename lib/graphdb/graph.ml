@@ -5,23 +5,42 @@ type edge = node * Word.symbol * node
 (* Labels are interned to dense ids [0 .. nlabels-1] at construction
    (sorted order, so ids are stable for a given edge set).  The hot
    paths — morphism search and product BFS — index the adjacency by
-   label id and never compare strings; [edge_set] gives O(1) membership
-   with an integer key. *)
+   label id and never compare strings; edge membership is a binary
+   search of an ascending successor array. *)
 type t = {
   uid : int; (* process-unique identity, for keying derived-structure caches *)
   nnodes : int;
   nedges : int;
   edges : edge list; (* sorted, duplicate-free *)
   labels : Word.symbol array; (* label id -> symbol, sorted *)
-  label_ids : (Word.symbol, int) Hashtbl.t;
   out : (Word.symbol * node) list array;
   in_ : (Word.symbol * node) list array;
   out_l : node array array array; (* out_l.(u).(a): successors, ascending *)
   in_l : node array array array; (* in_l.(v).(a): predecessors, ascending *)
-  edge_set : (int, unit) Hashtbl.t; (* (u * nlabels + a) * nnodes + v *)
 }
 
-let edge_key g u a v = ((u * Array.length g.labels) + a) * g.nnodes + v
+(* the index of [a] in the sorted [labels.(lo .. hi - 1)], or -1 *)
+let rec find_label_in labels a lo hi =
+  if lo >= hi then -1
+  else begin
+    let mid = (lo + hi) / 2 in
+    let c = String.compare a labels.(mid) in
+    if c = 0 then mid
+    else if c < 0 then find_label_in labels a lo mid
+    else find_label_in labels a (mid + 1) hi
+  end
+
+let find_label labels a = find_label_in labels a 0 (Array.length labels)
+
+(* [v] is in the ascending [nodes.(lo .. hi - 1)] *)
+let rec mem_sorted (nodes : node array) v lo hi =
+  lo < hi
+  && begin
+       let mid = (lo + hi) / 2 in
+       nodes.(mid) = v
+       || if nodes.(mid) < v then mem_sorted nodes v (mid + 1) hi
+          else mem_sorted nodes v lo mid
+     end
 
 let uid_counter = Atomic.make 0
 
@@ -32,20 +51,13 @@ let make ~nnodes edge_list =
       if u < 0 || u >= nnodes || v < 0 || v >= nnodes then
         invalid_arg "Graph.make: node out of range")
     edges;
-  let label_tbl = Hashtbl.create 16 in
-  List.iter (fun (_, a, _) -> Hashtbl.replace label_tbl a ()) edges;
   let labels =
-    Array.of_list
-      (List.sort String.compare (Hashtbl.fold (fun a () l -> a :: l) label_tbl []))
+    Array.of_list (List.sort_uniq String.compare (List.map (fun (_, a, _) -> a) edges))
   in
   let nl = Array.length labels in
-  let label_ids = Hashtbl.create (max 16 (2 * nl)) in
-  Array.iteri (fun i a -> Hashtbl.replace label_ids a i) labels;
   let n = max nnodes 1 in
   let out = Array.make n [] in
   let in_ = Array.make n [] in
-  let nedges = List.length edges in
-  let edge_set = Hashtbl.create (max 16 (2 * nedges)) in
   (* accumulate per-(node, label) successor/predecessor lists; the edge
      list is ascending, so prepending and reversing keeps them sorted *)
   let nlp = max nl 1 in
@@ -55,18 +67,17 @@ let make ~nnodes edge_list =
     (fun (u, a, v) ->
       out.(u) <- (a, v) :: out.(u);
       in_.(v) <- (a, u) :: in_.(v);
-      let ai = Hashtbl.find label_ids a in
+      let ai = find_label labels a in
       out_acc.((u * nlp) + ai) <- v :: out_acc.((u * nlp) + ai);
-      in_acc.((v * nlp) + ai) <- u :: in_acc.((v * nlp) + ai);
-      Hashtbl.replace edge_set ((((u * nl) + ai) * nnodes) + v) ())
+      in_acc.((v * nlp) + ai) <- u :: in_acc.((v * nlp) + ai))
     edges;
   let pack acc w =
     Array.init nl (fun ai -> Array.of_list (List.rev acc.((w * nlp) + ai)))
   in
   let out_l = Array.init n (fun u -> pack out_acc u) in
   let in_l = Array.init n (fun v -> pack in_acc v) in
-  { uid = Atomic.fetch_and_add uid_counter 1; nnodes; nedges; edges; labels;
-    label_ids; out; in_; out_l; in_l; edge_set }
+  { uid = Atomic.fetch_and_add uid_counter 1; nnodes; nedges = List.length edges; edges;
+    labels; out; in_; out_l; in_l }
 
 let of_edges edge_list =
   let nnodes =
@@ -97,7 +108,8 @@ let in_ g v = if v < 0 || v >= g.nnodes then [] else g.in_.(v)
 
 let nlabels g = Array.length g.labels
 
-let label_id g a = Hashtbl.find_opt g.label_ids a
+let label_id g a =
+  match find_label g.labels a with -1 -> None | ai -> Some ai
 
 let label_name g a = g.labels.(a)
 
@@ -110,8 +122,8 @@ let pred_ids g v a =
   if v < 0 || v >= g.nnodes then no_nodes else g.in_l.(v).(a)
 
 let mem_edge_id g u a v =
-  u >= 0 && u < g.nnodes && v >= 0 && v < g.nnodes
-  && Hashtbl.mem g.edge_set (edge_key g u a v)
+  u >= 0 && u < g.nnodes && a >= 0 && a < Array.length g.labels
+  && mem_sorted g.out_l.(u).(a) v 0 (Array.length g.out_l.(u).(a))
 
 let mem_edge g u a v =
   match label_id g a with None -> false | Some ai -> mem_edge_id g u ai v

@@ -39,8 +39,9 @@ val iter_nodes : t -> (node -> unit) -> unit
 
 val edges : t -> edge list
 
-(** O(1) via the hashed edge set (no string comparison beyond the label
-    lookup). *)
+(** A binary search of the label among the graph's labels, then
+    {!mem_edge_id}; [false] on a node out of range or a label no edge
+    carries. *)
 val mem_edge : t -> node -> Word.symbol -> node -> bool
 
 (** {2 Interned labels}
@@ -48,13 +49,13 @@ val mem_edge : t -> node -> Word.symbol -> node -> bool
     Edge labels are interned to dense ids [0 .. nlabels-1] (in sorted
     symbol order) when the graph is built.  The morphism solver and the
     product searches run entirely on these ids: successor/predecessor
-    sets are pre-indexed arrays and edge membership is an integer hash
-    probe. *)
+    sets are pre-indexed arrays and edge membership is a binary search
+    of one of them. *)
 
 val nlabels : t -> int
 
 (** The id of a symbol in this graph, or [None] when no edge carries
-    it. *)
+    it; a binary search of the sorted labels. *)
 val label_id : t -> Word.symbol -> int option
 
 (** Inverse of {!label_id}.
@@ -70,8 +71,9 @@ val succ_ids : t -> node -> int -> node array
     {!succ_ids}. *)
 val pred_ids : t -> node -> int -> node array
 
-(** [mem_edge_id g u a v]: O(1) edge membership on an interned label
-    id. *)
+(** [mem_edge_id g u a v]: edge membership on an interned label id, a
+    binary search of the ascending [succ_ids g u a], so O(log d) for
+    [d] successors.  [false] when [u], [v] or [a] is out of range. *)
 val mem_edge_id : t -> node -> int -> node -> bool
 
 (** Outgoing [(label, successor)] pairs. *)

@@ -244,122 +244,122 @@ let corpus_pins =
   [|
     "C 1 1 2 4 1";
     "N 1 1 42 4";
-    "C 1 2 1 5 1";
+    "C 1 2 1 2 1";
     "N 2 1 0 0";
-    "N 1 1 42 7";
-    "N 1 2 1 6";
-    "C 2 2 4 14 7";
-    "C 1 1 1 6 1";
-    "C 1 1 2 7 1";
+    "N 1 1 42 4";
+    "N 1 2 1 4";
+    "C 2 2 4 10 7";
+    "C 1 1 1 3 1";
+    "C 1 1 2 4 1";
     "C 1 1 1 4 1";
     "C 2 2 2 9 8";
     "C 2 1 0 0 0";
-    "C 4 2 8 14 40";
+    "C 4 2 8 12 40";
     "C 1 1 1 7 1";
-    "C 7 4 7 19 25";
-    "C 4 4 4 22 10";
-    "C 12 6 60 42 164";
-    "C 6 4 6 14 18";
-    "C 4 2 4 25 6";
-    "C 8 4 10 15 12";
-    "C 4 2 4 12 6";
-    "C 10 10 14 17 27";
-    "C 2 2 2 12 2";
-    "N 4 2 12 16";
-    "C 4 4 4 10 4";
-    "C 2 2 7 27 24";
-    "C 2 2 2 13 4";
-    "C 2 2 9 11 12";
-    "C 1 1 1 13 2";
-    "C 4 2 15 42 38";
-    "C 2 2 4 12 8";
-    "N 5 1 14 12";
-    "C 2 2 3 14 2";
-    "C 2 1 7 20 48";
-    "C 4 4 28 15 18";
-    "N 12 4 32 10";
-    "C 4 4 4 10 18";
-    "C 8 4 61 23 72";
-    "C 2 2 2 11 8";
-    "C 16 26 15 20 175";
-    "C 2 1 2 82 120";
-    "C 4 4 4 21 36";
-    "C 2 2 3 10 2";
-    "C 4 2 12 16 16";
-    "C 4 4 4 19 16";
-    "C 8 4 14 17 8";
-    "C 8 4 7 13 11";
-    "C 2 2 9 13 8";
+    "C 7 4 7 16 25";
+    "C 4 4 4 12 10";
+    "C 12 6 60 29 164";
+    "C 6 4 6 12 18";
+    "C 4 2 4 8 6";
+    "C 8 4 10 9 12";
+    "C 4 2 4 10 6";
+    "C 10 10 14 15 27";
+    "C 2 2 2 4 2";
+    "N 4 2 12 9";
+    "C 4 4 4 4 4";
+    "C 2 2 7 22 24";
+    "C 2 2 2 9 4";
+    "C 2 2 9 6 12";
+    "C 1 1 1 7 2";
+    "C 4 2 15 28 38";
+    "C 2 2 4 10 8";
+    "N 5 1 14 8";
+    "C 2 2 3 8 2";
+    "C 2 1 7 18 48";
+    "C 4 4 28 9 18";
+    "N 12 4 32 8";
+    "C 4 4 4 7 18";
+    "C 8 4 61 18 72";
+    "C 2 2 2 8 8";
+    "C 16 26 15 14 175";
+    "C 2 1 2 24 120";
+    "C 4 4 4 13 36";
+    "C 2 2 3 7 2";
+    "C 4 2 12 14 16";
+    "C 4 4 4 11 16";
+    "C 8 4 14 9 8";
+    "C 8 4 7 7 11";
+    "C 2 2 9 12 8";
     "C 1 1 1 11 10";
-    "N 8 2 40 31";
-    "C 2 2 2 48 156";
-    "C 4 4 9 21 882";
-    "C 4 4 4 13 12";
-    "C 2 1 3 46 4";
-    "C 2 1 6 40 3";
-    "C 8 2 56 21 64";
-    "C 4 4 6 10 10";
-    "C 4 4 4 10 8";
-    "C 2 2 4 11 4";
+    "N 8 2 40 20";
+    "C 2 2 2 26 156";
+    "C 4 4 9 19 882";
+    "C 4 4 4 9 12";
+    "C 2 1 3 11 4";
+    "C 2 1 6 10 3";
+    "C 8 2 56 15 64";
+    "C 4 4 6 9 10";
+    "C 4 4 4 9 8";
+    "C 2 2 4 8 4";
     "C 3 2 12 11 4";
-    "C 9 4 8 12 8";
-    "C 1 1 1 14 12";
-    "C 4 4 4 17 9";
-    "C 8 8 12 10 32";
-    "C 16 4 15 25 43";
-    "C 4 4 10 27 40";
-    "C 2 2 3 12 12";
-    "C 4 6 12 16 24";
-    "C 12 4 11 24 41";
-    "C 10 4 10 35 38";
-    "C 2 3 6 18 32";
-    "C 7 7 86 19 30";
-    "C 4 4 6 9 9";
-    "C 5 5 26 14 8";
-    "C 4 4 4 18 54";
-    "C 2 2 22 18 9";
-    "N 2 1 20 8";
-    "C 6 6 18 23 19";
-    "C 1 1 2 25 4";
+    "C 9 4 8 7 8";
+    "C 1 1 1 12 12";
+    "C 4 4 4 8 9";
+    "C 8 8 12 8 32";
+    "C 16 4 15 21 43";
+    "C 4 4 10 18 40";
+    "C 2 2 3 10 12";
+    "C 4 6 12 12 24";
+    "C 12 4 11 20 41";
+    "C 10 4 10 19 38";
+    "C 2 3 6 13 32";
+    "C 7 7 86 15 30";
+    "C 4 4 6 7 9";
+    "C 5 5 26 10 8";
+    "C 4 4 4 14 54";
+    "C 2 2 22 13 9";
+    "N 2 1 20 6";
+    "C 6 6 18 17 19";
+    "C 1 1 2 8 4";
     "C 1 2 1 7 4";
-    "C 8 4 7 11 19";
-    "C 1 1 2 16 4";
-    "C 1 1 1 57 96";
-    "C 10 2 10 23 27";
-    "C 6 2 6 30 40";
-    "C 2 2 2 18 12";
-    "C 13 6 106 546 640";
-    "N 5 2 8 12";
-    "C 4 4 15 15 50";
-    "C 2 2 2 22 12";
+    "C 8 4 7 10 19";
+    "C 1 1 2 9 4";
+    "C 1 1 1 26 96";
+    "C 10 2 10 14 27";
+    "C 6 2 6 21 40";
+    "C 2 2 2 14 12";
+    "C 13 6 106 102 640";
+    "N 5 2 8 10";
+    "C 4 4 15 14 50";
+    "C 2 2 2 14 12";
     "C 2 2 2 8 4";
-    "C 3 4 4 31 16";
-    "C 12 4 11 17 23";
-    "C 2 2 6 20 60";
+    "C 3 4 4 23 16";
+    "C 12 4 11 15 23";
+    "C 2 2 6 16 60";
     "C 1 1 1 4 1";
-    "C 10 14 75 21 48";
-    "C 2 2 2 14 6";
-    "C 9 8 9 14 27";
+    "C 10 14 75 16 48";
+    "C 2 2 2 10 6";
+    "C 9 8 9 8 27";
     "C 2 2 3 8 4";
-    "C 4 2 8 14 6";
-    "N 4 1 20 14";
-    "C 9 8 164 45 63";
-    "C 1 1 1 8 9";
-    "C 4 4 7 21 18";
-    "C 4 4 4 75 8";
-    "C 8 8 116 11 64";
-    "C 1 1 1 9 3";
-    "C 5 6 18 40 56";
-    "C 2 1 5 8 24";
+    "C 4 2 8 12 6";
+    "N 4 1 20 7";
+    "C 9 8 164 30 63";
+    "C 1 1 1 6 9";
+    "C 4 4 7 13 18";
+    "C 4 4 4 8 8";
+    "C 8 8 116 10 64";
+    "C 1 1 1 8 3";
+    "C 5 6 18 26 56";
+    "C 2 1 5 7 24";
     "C 1 1 1 11 2";
-    "C 1 1 2 15 8";
-    "C 14 14 17 28 56";
-    "C 8 2 7 14 19";
-    "C 2 2 17 17 16";
-    "C 1 1 1 11 2";
-    "C 12 4 12 24 28";
-    "C 8 8 7 7 7";
-    "C 2 2 6 16 14";
+    "C 1 1 2 13 8";
+    "C 14 14 17 19 56";
+    "C 8 2 7 10 19";
+    "C 2 2 17 11 16";
+    "C 1 1 1 9 2";
+    "C 12 4 12 14 28";
+    "C 8 8 7 4 7";
+    "C 2 2 6 12 14";
   |]
 
 (* The optimizer pre-pass (INJCRPQ_OPTIMIZE=on) would run nested
@@ -468,6 +468,47 @@ let prop_minimal_first =
       | _ ->
         Alcotest.failf "only one search is unsupported: %s <= %s" (Crpq.to_string q1)
           (Crpq.to_string q2))
+
+(* The pruned tracker skips a state when a known one is below it.  Per
+   left-atom language, its ⊆-minimal values are the exhaustive
+   tracker's, with the same witnesses and in the same order, and every
+   value it finds is one the exhaustive tracker finds. *)
+let minimal_tracker_values vs =
+  let subset u v =
+    let rec go i = i = Array.length u || (u.(i) land lnot v.(i) = 0 && go (i + 1)) in
+    go 0
+  in
+  List.filter (fun (v, _) -> not (List.exists (fun (u, _) -> u <> v && subset u v) vs)) vs
+
+let prop_pruned_tracker =
+  Testutil.qtest ~count:400 "pruned tracker: the exhaustive tracker's minimal values"
+    QCheck2.Gen.(pair (int_bound 1_000_000) bool)
+    (fun (seed, biased) ->
+      let rng = Random.State.make [| 37; seed |] in
+      let labels = [ "a"; "b"; "c" ] in
+      let q1, q2 =
+        if biased then
+          Qgen.contained_pair ~rng ~labels ~nvars:3 ~natoms:3 ~cls:Crpq.Class_crpq ()
+        else
+          let q () =
+            Qgen.random_crpq ~rng ~labels ~nvars:3 ~natoms:2 ~arity:0
+              ~cls:Crpq.Class_crpq ()
+          in
+          let q1 = q () in
+          (q1, q ())
+      in
+      QCheck2.assume (Suite.precheck q1 && Suite.precheck q2);
+      match Containment_qinj.tracker_values ~prune:false q1 q2 with
+      | exception Containment_qinj.Unsupported _ -> true
+      | exhaustive ->
+        let pruned = Containment_qinj.tracker_values ~prune:true q1 q2 in
+        List.length pruned = List.length exhaustive
+        && List.for_all2
+             (fun (lang, all) (lang', some) ->
+               lang = lang'
+               && List.for_all (fun (v, _) -> List.mem_assoc v all) some
+               && minimal_tracker_values some = minimal_tracker_values all)
+             exhaustive pruned)
 
 (* Pairs on which the first refuting abstraction of minimal values
    gives another counterexample than the first of the full product. *)
@@ -602,6 +643,7 @@ let () =
       ( "properties",
         [
           prop_minimal_first;
+          prop_pruned_tracker;
           prop_normalize_preserves_semantics;
           prop_remove_letter_word;
           prop_split_parallel_union;

@@ -213,6 +213,34 @@ let prop_components_partition =
       let comps = Graph.components g in
       List.sort compare (List.concat comps) = Graph.nodes g)
 
+(* Edge membership, by label or by label id, is [List.mem] over the
+   edge list, also for nodes out of range, labels no edge carries and
+   label ids out of range. *)
+let prop_mem_edge =
+  Testutil.qtest "mem_edge and mem_edge_id agree with the edge list"
+    (Testutil.gen_graph ()) (fun g ->
+      let n = Graph.nnodes g in
+      let nodes = List.init (n + 3) (fun u -> u - 1) in
+      List.for_all
+        (fun a ->
+          let id = Graph.label_id g a in
+          List.for_all
+            (fun u ->
+              List.for_all
+                (fun v ->
+                  let expected = List.mem (u, a, v) (Graph.edges g) in
+                  Graph.mem_edge g u a v = expected
+                  && (match id with
+                     | Some ai -> Graph.mem_edge_id g u ai v = expected
+                     | None -> not expected))
+                nodes)
+            nodes)
+        [ "a"; "b"; "c"; "z" ]
+      && List.for_all
+           (fun ai ->
+             List.for_all (fun u -> not (Graph.mem_edge_id g u ai u)) nodes)
+           [ -1; Graph.nlabels g ])
+
 let () =
   Alcotest.run "graph"
     [
@@ -246,5 +274,10 @@ let () =
           Alcotest.test_case "large stream" `Quick test_load_large_stream;
         ] );
       ( "properties",
-        [ prop_in_out_consistent; prop_degree_sum; prop_components_partition ] );
+        [
+          prop_in_out_consistent;
+          prop_degree_sum;
+          prop_components_partition;
+          prop_mem_edge;
+        ] );
     ]

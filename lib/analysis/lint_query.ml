@@ -147,16 +147,18 @@ let empty_domain_atoms ~graph (q : Crpq.t) =
   List.iter
     (fun (a : Crpq.atom) ->
       if not (Regex.is_empty_lang a.Crpq.lang) then begin
-        let rel = Path_search.reach_relation graph (Nfa.of_regex a.Crpq.lang) in
-        let ds = dom a.Crpq.src in
+        (* one forward search per source, O(n·m) words: a source has an
+           out-path iff it reaches a node, and each node reached an in-path *)
+        let s = Path_search.simple_searcher graph (Nfa.of_regex a.Crpq.lang) in
+        let has_out = Array.make n false and has_in = Array.make n false in
         for u = 0 to n - 1 do
-          if ds.(u) && not (Array.exists Fun.id rel.(u)) then ds.(u) <- false
+          Path_search.reachable_with s ~src:u (fun v ->
+              has_out.(u) <- true;
+              has_in.(v) <- true)
         done;
-        let dd = dom a.Crpq.dst in
-        for v = 0 to n - 1 do
-          if dd.(v) && not (Array.exists (fun row -> row.(v)) rel) then
-            dd.(v) <- false
-        done
+        let ds = dom a.Crpq.src and dd = dom a.Crpq.dst in
+        Array.iteri (fun u b -> ds.(u) <- ds.(u) && b) has_out;
+        Array.iteri (fun v b -> dd.(v) <- dd.(v) && b) has_in
       end)
     q.Crpq.atoms;
   let is_empty x =

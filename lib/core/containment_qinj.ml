@@ -182,15 +182,15 @@ let split_parallel_letters q =
 (* What the tracker needs about one letter [a], computed once per
    decision: Δa as packed rows, a chunk table that turns r ∘ Δa into one
    row OR per nonzero chunk of r, and the image of the initial states.
-   A decision reads few of the table's entries, so each is filled on
-   first use. *)
+   A decision reads few of the table's entries, so they are allocated
+   per chunk group and filled one by one, on first use. *)
 type letter_tables = {
   delta : int array;  (** Δa: [n] rows *)
-  table : int array;
-      (** entry [e = (g lsl chunk_bits) + v], [nw] words at [e * nw]:
-          the union of the Δa rows of the states [g * chunk_bits + b]
-          for the bits [b] set in [v]; all zero until filled *)
-  filled : Bytes.t;  (** one byte per entry: ['\001'] once filled *)
+  table : int array array;
+      (** per chunk group [g], [[||]] until first used; entry [v] is [nw]
+          words at [v * nw]: the union of the Δa rows of the states
+          [g * chunk_bits + b] for the bits [b] set in [v] *)
+  filled : Bytes.t;  (** ['\001'] at [(g lsl chunk_bits) + v] once filled *)
   img_init : int array;  (** one row: Δa-successors of the initial states *)
 }
 
@@ -215,29 +215,31 @@ let letter_tables ~n ~nw (completed : Nfa.t) initials letter =
     (fun q out ->
       List.iter (fun (x, q') -> if String.equal x letter then Bits.add delta (q * nw) q') out)
     completed.Nfa.delta;
-  let entries = ((n + Bits.chunk_bits - 1) / Bits.chunk_bits) lsl Bits.chunk_bits in
+  let groups = (n + Bits.chunk_bits - 1) / Bits.chunk_bits in
   let img_init = Array.make nw 0 in
   List.iter (fun q -> Bits.or_into ~nw delta (q * nw) img_init 0) initials;
   {
     delta;
-    table = Array.make (entries * nw) 0;
-    filled = Bytes.make entries '\000';
+    table = Array.make groups [||];
+    filled = Bytes.make (groups lsl Bits.chunk_bits) '\000';
     img_init;
   }
 
-(* the table entry [e] of [lt], filled on first use *)
-let entry ~nw lt e =
+(* chunk group [g]'s table, whose entry [v] is filled on first use *)
+let entry ~nw lt g v =
+  let e = (g lsl Bits.chunk_bits) + v in
   if Bytes.get lt.filled e = '\000' then begin
-    let g = e lsr Bits.chunk_bits and v = e land ((1 lsl Bits.chunk_bits) - 1) in
+    if Array.length lt.table.(g) = 0 then
+      lt.table.(g) <- Array.make (nw lsl Bits.chunk_bits) 0;
     let n = Array.length lt.delta / nw in
     for b = 0 to Bits.chunk_bits - 1 do
       let q = (g * Bits.chunk_bits) + b in
       if v land (1 lsl b) <> 0 && q < n then
-        Bits.or_into ~nw lt.delta (q * nw) lt.table (e * nw)
+        Bits.or_into ~nw lt.delta (q * nw) lt.table.(g) (v * nw)
     done;
     Bytes.set lt.filled e '\001'
   end;
-  e * nw
+  lt.table.(g)
 
 let build_aq2 ~alphabet rhs_disjuncts =
   let atoms =
@@ -300,8 +302,7 @@ let build_aq2 ~alphabet rhs_disjuncts =
 let rec or_image ~nw lt word g dst drow =
   if word <> 0 then begin
     let v = word land ((1 lsl Bits.chunk_bits) - 1) in
-    if v <> 0 then
-      Bits.or_into ~nw lt.table (entry ~nw lt ((g lsl Bits.chunk_bits) + v)) dst drow;
+    if v <> 0 then Bits.or_into ~nw (entry ~nw lt g v) (v * nw) dst drow;
     or_image ~nw lt (word lsr Bits.chunk_bits) (g + 1) dst drow
   end
 

@@ -91,7 +91,9 @@ let relation_for sem g a =
     if a.si <> a.ti then on_demand g (fun u v -> u <> v && simple u v)
     else on_demand g simple
   | Semantics.A_edge_inj ->
-    on_demand g (fun u v -> Path_search.exists_trail g a.nfa ~src:u ~dst:v)
+    let s = lazy (Path_search.simple_searcher g a.nfa) in
+    let trail u v = Path_search.find_trail_with (Lazy.force s) ~src:u ~dst:v <> None in
+    on_demand g trail
   | Semantics.Q_inj | Semantics.Q_edge_inj ->
     invalid_arg "Eval.relation_for: global semantics has no per-atom relation"
 

@@ -23,8 +23,8 @@ let eval_simple_path lang g =
   pairs_of_relation g (fun u v -> rel.(u).(v))
 
 let eval_trail lang g =
-  let nfa = Crpq.nfa lang in
-  pairs_of_relation g (fun u v -> Path_search.exists_trail g nfa ~src:u ~dst:v)
+  let s = Path_search.simple_searcher g (Crpq.nfa lang) in
+  pairs_of_relation g (fun u v -> Path_search.find_trail_with s ~src:u ~dst:v <> None)
 
 let check_standard lang g u v = Path_search.exists_path g (Crpq.nfa lang) ~src:u ~dst:v
 

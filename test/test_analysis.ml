@@ -327,6 +327,63 @@ let prop_redundant_drop_preserves_answers =
             flagged)
         Semantics.node_semantics)
 
+(* W104 against its n² definition: a variable's domain keeps a node iff
+   every atom leaving the variable has an accepted path out of it and
+   every atom entering it an accepted path into it, read off the
+   reference relation [Path_oracle.reach_relation].  The pass must flag
+   the same variables at the same atoms. *)
+let prop_w104_matches_relation =
+  Testutil.qtest ~count:150 "W104 agrees with the n² reach relation"
+    QCheck2.Gen.(
+      pair
+        (Testutil.gen_crpq ~max_atoms:3 ~max_vars:3 ~arity:1 ())
+        (Testutil.gen_graph ~max_nodes:5 ()))
+    (fun (q, g) ->
+      let n = Graph.nnodes g in
+      let domains = Hashtbl.create 8 in
+      let restrict x keep =
+        let d = Option.value (Hashtbl.find_opt domains x) ~default:(Array.make n true) in
+        Hashtbl.replace domains x (Array.mapi (fun u b -> b && keep u) d)
+      in
+      List.iter
+        (fun (a : Crpq.atom) ->
+          if not (Regex.is_empty_lang a.Crpq.lang) then begin
+            let rel = Path_oracle.reach_relation g (Nfa.of_regex a.Crpq.lang) in
+            restrict a.Crpq.src (fun u -> Array.exists Fun.id rel.(u));
+            restrict a.Crpq.dst (fun v -> Array.exists (fun row -> row.(v)) rel)
+          end)
+        q.Crpq.atoms;
+      let empty x =
+        match Hashtbl.find_opt domains x with
+        | Some d -> not (Array.exists Fun.id d)
+        | None -> false
+      in
+      let reported = Hashtbl.create 8 in
+      let expected =
+        List.concat
+          (List.mapi
+             (fun i (a : Crpq.atom) ->
+               List.filter_map
+                 (fun x ->
+                   if empty x && not (Hashtbl.mem reported x) then begin
+                     Hashtbl.add reported x ();
+                     Some (i, x)
+                   end
+                   else None)
+                 (List.sort_uniq String.compare [ a.Crpq.src; a.Crpq.dst ]))
+             q.Crpq.atoms)
+      in
+      let got =
+        List.map
+          (fun d ->
+            match d.Diagnostic.location with
+            | Diagnostic.Atom i ->
+              (i, Scanf.sscanf d.Diagnostic.message "variable %s " Fun.id)
+            | _ -> (-1, ""))
+          (Lint_query.empty_domain_atoms ~graph:g q)
+      in
+      got = expected)
+
 let () =
   Alcotest.run "analysis"
     [
@@ -350,5 +407,6 @@ let () =
           Alcotest.test_case "UCRPQ lint" `Quick test_ucrpq_lint;
           Alcotest.test_case "containment fast-path" `Quick test_containment_fastpath;
         ] );
-      ("properties", [ prop_redundant_drop_preserves_answers ]);
+      ( "properties",
+        [ prop_redundant_drop_preserves_answers; prop_w104_matches_relation ] );
     ]

@@ -64,6 +64,37 @@ let prop_find_path_valid =
         Path.valid_in g p && Path.src p = src && Path.tgt p = dst
         && Nfa.accepts nfa (Path.label p))
 
+let prop_find_path_shortest =
+  Testutil.qtest ~count:150 "found standard paths are shortest" gen_case
+    (fun (g, r, src, dst) ->
+      let nfa = Nfa.of_regex r in
+      match Path_search.find_path g nfa ~src ~dst with
+      | None -> true
+      | Some p ->
+        Path.src p = src && Path.tgt p = dst
+        && Nfa.accepts nfa (Path.label p)
+        && (Path.length p = 0
+           || brute_exists g nfa ~src ~dst ~pred:(fun _ -> true)
+                ~max_len:(Path.length p - 1)
+              <> Some true))
+
+(* One searcher answers every source in turn, each search clearing only
+   what it visited: any state left over from the previous source would
+   show as an extra node. *)
+let prop_reachable_with_reuse =
+  Testutil.qtest ~count:150 "reachable_with on one searcher = fresh reachable"
+    QCheck2.Gen.(
+      pair (Testutil.gen_graph ~max_nodes:5 ()) (Testutil.gen_regex ~max_depth:2 ()))
+    (fun (g, r) ->
+      let nfa = Nfa.of_regex r in
+      let s = Path_search.simple_searcher g nfa in
+      List.for_all
+        (fun src ->
+          let acc = ref [] in
+          Path_search.reachable_with s ~src (fun v -> acc := v :: !acc);
+          List.sort compare !acc = Path_search.reachable g nfa src)
+        (Graph.nodes g))
+
 let prop_relations_agree =
   Testutil.qtest ~count:60 "relation matrices agree with point queries"
     QCheck2.Gen.(
@@ -308,6 +339,48 @@ let test_enumeration_pin () =
       "2a0a4a1a5a2 2a0a2";
     ]
 
+(* [iter_trail]'s enumeration order on the same graph, pinned the same
+   way for words of length 1 to 5: unlike a simple path, a trail may
+   repeat nodes (0a4a1b0b1b3), take a self-loop (5b5) and pass through
+   its target (2a0a2a1b3b2).  The counts pin the unbounded language. *)
+let test_trail_pin () =
+  let g =
+    Generate.gnp ~rng:(Random.State.make [| 3 |]) ~nodes:6 ~labels:[ "a"; "b" ]
+      ~p:0.25
+  in
+  let trails re src dst =
+    let acc = ref [] in
+    Path_search.iter_trail g (Nfa.of_regex (Regex.parse re)) ~src ~dst (fun p ->
+        acc := render_path p :: !acc);
+    List.rev !acc
+  in
+  let expect src dst rows =
+    Alcotest.(check (list string))
+      (Printf.sprintf "%d -> %d" src dst)
+      (String.split_on_char ' ' (String.concat " " rows))
+      (trails "(a|b)(a|b)?(a|b)?(a|b)?(a|b)?" src dst)
+  in
+  expect 0 3
+    [
+      "0b5b5a4a1b3 0b5b5a2a1b3 0b5a4a1b3 0b5a2a1b3 0b5a2a0b1b3 0b1b3";
+      "0b1b0a4a1b3 0b1b0a2a1b3 0b1a5a4a1b3 0b1a5a2a1b3 0a4a5a4a1b3";
+      "0a4a5a2a1b3 0a4a1b3 0a4a1b0b1b3 0a2a1b3 0a2a1b0b1b3 0a2a0b1b3";
+      "0a2a0a4a1b3";
+    ];
+  expect 2 2
+    [
+      "2a1b3b2 2a1b3b2a0a2 2a1b3b0b5a2 2a1b3b0a2 2a1b3a2 2a1b3a2a0a2";
+      "2a1b0b5b5a2 2a1b0b5a2 2a1b0b1b3b2 2a1b0b1b3a2 2a1b0b1a5a2";
+      "2a1b0a4a5a2 2a1b0a2 2a1a5b5a2 2a1a5a4a5a2 2a1a5a2 2a1a5a2a0a2";
+      "2a0b5b5a2 2a0b5a4a5a2 2a0b5a2 2a0b1b3b2 2a0b1b3b0a2 2a0b1b3a2";
+      "2a0b1b0b5a2 2a0b1b0a2 2a0b1a5b5a2 2a0b1a5a2 2a0a4a5b5a2 2a0a4a5a2";
+      "2a0a4a1b3b2 2a0a4a1b3a2 2a0a4a1b0a2 2a0a4a1a5a2 2a0a2 2a0a2a1b3b2";
+      "2a0a2a1b3a2 2a0a2a1a5a2";
+    ];
+  Alcotest.(check (pair int int))
+    "(a|b)* trails 0 -> 3, 2 -> 2" (826, 2702)
+    (List.length (trails "(a|b)*" 0 3), List.length (trails "(a|b)*" 2 2))
+
 (* The relation shares one searcher over all n² pairs: its
    co-reachability work is one backward product BFS per destination, at
    most n·m product states each. *)
@@ -400,6 +473,7 @@ let () =
             test_source_outside_graph;
           Alcotest.test_case "find_simple witness pins" `Quick test_witness_pins;
           Alcotest.test_case "iter_simple order pin" `Quick test_enumeration_pin;
+          Alcotest.test_case "iter_trail order pin" `Quick test_trail_pin;
           Alcotest.test_case "relation work bound" `Quick test_relation_work_bound;
           Alcotest.test_case "searcher reuse" `Quick test_searcher_reuse;
         ] );
@@ -410,6 +484,8 @@ let () =
           prop_trail;
           prop_find_simple_valid;
           prop_find_path_valid;
+          prop_find_path_shortest;
+          prop_reachable_with_reuse;
           prop_relations_agree;
         ] );
     ]

@@ -48,26 +48,24 @@ let spawn_daemon exe =
     (env_with_chaos "guard:serve.worker:3")
     Unix.stdin Unix.stdout Unix.stderr
 
-let wait_for_socket () =
+(* The socket file appears at [bind], before the daemon calls [listen],
+   so a connect is refused until then: retry until the deadline. *)
+let connect () =
   let deadline = Unix.gettimeofday () +. 10.0 in
   let rec go () =
-    if Sys.file_exists sock then ()
-    else if Unix.gettimeofday () > deadline then die "daemon never bound %s" sock
-    else begin
+    match Serve.Client.connect_unix sock with
+    | client -> client
+    | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _)
+      when Unix.gettimeofday () <= deadline ->
       Unix.sleepf 0.05;
       go ()
-    end
+    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> die "daemon never bound %s" sock
+    | exception Unix.Unix_error (e, _, _) -> die "connect: %s" (Unix.error_message e)
   in
-  go ()
-
-let connect () =
-  match Serve.Client.connect_unix sock with
-  | client -> (
-    match Serve.Client.greeting ~timeout_ms:5000 client with
-    | Ok _ -> client
-    | Error e -> die "no greeting: %s" e)
-  | exception Unix.Unix_error (e, _, _) ->
-    die "connect: %s" (Unix.error_message e)
+  let client = go () in
+  match Serve.Client.greeting ~timeout_ms:5000 client with
+  | Ok _ -> client
+  | Error e -> die "no greeting: %s" e
 
 let recv_or_die client =
   match Serve.Client.recv ~timeout_ms:10_000 client with
@@ -172,7 +170,6 @@ let () =
       (* belt and braces: never leave the daemon running *)
       try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
     (fun () ->
-      wait_for_socket ();
       let client = connect () in
       pass "connected and greeted";
       fire_burst client;

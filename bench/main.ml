@@ -903,12 +903,31 @@ let run_morphism () =
 (* E16: bulk bit-matrix engine vs pointwise product BFS                 *)
 (* ------------------------------------------------------------------ *)
 
+let with_mode m f =
+  let prev = Bulk_rpq.current_mode () in
+  Bulk_rpq.set_mode m;
+  Fun.protect ~finally:(fun () -> Bulk_rpq.set_mode prev) f
+
+(* Words the calling domain allocates while [f] runs: minor + major -
+   promoted.  The minor count comes from [Gc.minor_words], which reads
+   the live allocation pointer; OCaml 5.1's [Gc.counters] under-reports
+   it, and [Gc.quick_stat] lags until the next minor collection. *)
+let alloc_words f =
+  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  ignore (f ());
+  let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+  int_of_float (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
 (* Every cell computes the full standard-semantics atom relation two
-   ways — pointwise Path_search and bulk multiple-source frontier BFS —
-   and checks the relations cell-for-cell before timing is reported, so
-   the bench doubles as a large-graph differential test.  The crossover
-   claim CI asserts: on the largest cell (≥ 10⁵ edges) the bulk engine
-   must beat the pointwise BFS. *)
+   ways — pointwise Path_search and the bulk multiple-source frontier
+   BFS behind [Bulk_rpq.st_relation], both as bit rows — and checks the
+   relations cell-for-cell before timing is reported, so the bench
+   doubles as a large-graph differential test.  The crossover claim CI
+   asserts: on the largest cell (≥ 10⁵ edges) the bulk engine must beat
+   the pointwise BFS.  [alloc_words] is what a second bulk build
+   allocates, with the per-graph adjacency memo warm and the counters
+   paused: CI bounds it by the tile's three generations plus the result
+   rows, whatever the sweep count. *)
 let run_bulk () =
   Format.printf
     "@.E16: bulk bit-matrix RPQ engine vs pointwise product BFS@.@.";
@@ -927,17 +946,19 @@ let run_bulk () =
       let s0 = Obs.Metrics.counter_value m_sweeps in
       let f0 = Obs.Metrics.counter_value m_frontier in
       let w0 = Obs.Metrics.counter_value m_words in
-      let rel_ms, t_ms = time_it (fun () -> Bulk_rpq.reach_relation g nfa) in
+      let bulk () = with_mode Bulk_rpq.On (fun () -> Bulk_rpq.st_relation g nfa) in
+      let rel_ms, t_ms = time_it bulk in
       let sweeps = Obs.Metrics.counter_value m_sweeps - s0 in
       let frontier = Obs.Metrics.counter_value m_frontier - f0 in
       let words = Obs.Metrics.counter_value m_words - w0 in
-      let agree = rel_ms = rel_ps in
-      let pairs =
-        Array.fold_left
-          (fun acc row ->
-            Array.fold_left (fun a b -> if b then a + 1 else a) acc row)
-          0 rel_ms
+      let alloc =
+        (* counters paused: they describe the timed build alone *)
+        let was = Obs.Metrics.enabled () in
+        Obs.Metrics.set_enabled false;
+        Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled was) (fun () -> alloc_words bulk)
       in
+      let agree = Bitmatrix.equal rel_ms rel_ps in
+      let pairs = Bitmatrix.popcount rel_ms in
       let speedup = if t_ms > 0.0 then t_ps /. t_ms else 0.0 in
       Format.printf "%-14s %6d %8d %4d %a %a %7.1fx %6b@." name n
         (Graph.nedges g) m pp_ms t_ps pp_ms t_ms speedup agree;
@@ -954,6 +975,7 @@ let run_bulk () =
             ("sweeps", Obs.Json.Int sweeps);
             ("frontier_bits", Obs.Json.Int frontier);
             ("words_anded", Obs.Json.Int words);
+            ("alloc_words", Obs.Json.Int alloc);
             ("agree", Obs.Json.Bool agree);
           ]
         :: !bulk_rows;
@@ -1056,11 +1078,6 @@ let run_bulk_scale () =
     cells;
   (* Deciders row: the expansion-side atom relations of the containment
      deciders must reach the bulk engine (caller attribution). *)
-  let with_mode m f =
-    let prev = Bulk_rpq.current_mode () in
-    Bulk_rpq.set_mode m;
-    Fun.protect ~finally:(fun () -> Bulk_rpq.set_mode prev) f
-  in
   let dispatch_total () =
     List.fold_left
       (fun acc engine ->

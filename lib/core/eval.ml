@@ -59,28 +59,32 @@ let fixed_assignment g d bound =
 (* Relational join for St / A_inj / A_edge_inj                         *)
 (* ------------------------------------------------------------------ *)
 
-(* A relation whose pairs are decided on first probe, by [f]. *)
+(* A relation whose pairs are decided on first probe, by [f].  A row's
+   n cells are allocated on the first probe of that row. *)
 let on_demand g f =
   let n = Graph.nnodes g in
-  let cells = Bytes.make (n * n) '\000' in
+  let rows = Array.make n Bytes.empty in
   fun u v ->
-    match Bytes.get cells ((u * n) + v) with
+    if Bytes.length rows.(u) = 0 then rows.(u) <- Bytes.make n '\000';
+    let cells = rows.(u) in
+    match Bytes.get cells v with
     | '\001' -> false
     | '\002' -> true
     | _ ->
       let b = f u v in
-      Bytes.set cells ((u * n) + v) (if b then '\002' else '\001');
+      Bytes.set cells v (if b then '\002' else '\001');
       b
 
 (* Each atom contributes a binary relation over nodes; evaluation is a
    backtracking join over the query variables.  St relations are built
-   whole by the bulk engine; the injective ones are probed pair by pair
-   (each entry is a witness search), so they are filled on demand. *)
+   whole, as bit rows, by [Bulk_rpq.st_relation]; the injective ones are
+   probed pair by pair (each entry is a witness search), so they are
+   filled on demand. *)
 let relation_for sem g a =
   match sem with
   | Semantics.St ->
     let rel = Bulk_rpq.st_relation g a.nfa in
-    fun u v -> rel.(u).(v)
+    Bitmatrix.get rel
   | Semantics.A_inj ->
     (* one searcher for all the atom's probes, built on the first *)
     let s = lazy (Path_search.simple_searcher g a.nfa) in

@@ -2,8 +2,9 @@
 
     Direct evaluators:
 
-    - standard semantics: one reachability relation per atom computed by
-      BFS over the product of the graph with the atom's NFA, then a
+    - standard semantics: one reachability relation per atom, n bit
+      rows computed by BFS over the product of the graph with the
+      atom's NFA ({!Bulk_rpq.st_relation}), then a
       backtracking join — polynomial per candidate assignment, matching
       the NL/NP-completeness landscape;
     - atom-injective: same join over per-atom simple-path relations

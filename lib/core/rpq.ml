@@ -12,11 +12,18 @@ let pairs_of_relation g rel =
   done;
   !acc
 
+(* The set bits of each row, rows and bits ascending. *)
 let eval_standard lang g =
   let rel =
     Bulk_rpq.with_caller "rpq" (fun () -> Bulk_rpq.st_relation g (Crpq.nfa lang))
   in
-  pairs_of_relation g (fun u v -> rel.(u).(v))
+  let acc = ref [] in
+  for u = Graph.nnodes g - 1 downto 0 do
+    let row = ref [] in
+    Bitmatrix.iter_row rel u (fun v -> row := (u, v) :: !row);
+    acc := List.rev_append !row !acc
+  done;
+  !acc
 
 let eval_simple_path lang g =
   let rel = Path_search.simple_reach_relation g (Crpq.nfa lang) in

@@ -89,8 +89,11 @@ let popcount m =
 let is_row_empty m i =
   if i < 0 || i >= m.rows then invalid_arg "Bitmatrix.is_row_empty";
   let base = i * m.wpr in
-  let rec go k = k >= m.wpr || (Array.unsafe_get m.data (base + k) = 0 && go (k + 1)) in
-  go 0
+  let k = ref 0 in
+  while !k < m.wpr && Array.unsafe_get m.data (base + !k) = 0 do
+    incr k
+  done;
+  !k = m.wpr
 
 let iter_row m i f =
   if i < 0 || i >= m.rows then invalid_arg "Bitmatrix.iter_row";

@@ -217,6 +217,22 @@ let make_ctx g nfa =
     dense_ok = Graph.nnodes g <= dense_node_cap;
   }
 
+(* [visit u] for every frontier bit u of rows [lo..hi], NFA state by
+   NFA state, skipping states without transitions; [trans] holds the
+   current state's transitions and [row] the current row while [visit]
+   runs. *)
+let for_frontier_rows ctx frontier lo hi trans ?(row = ref 0) visit =
+  for q = 0 to ctx.m - 1 do
+    trans := ctx.delta.(q);
+    if !trans <> [] then
+      for i = lo to hi do
+        if not (Bitmatrix.is_row_empty frontier.(q) i) then begin
+          row := i;
+          Bitmatrix.iter_row frontier.(q) i visit
+        end
+      done
+  done
+
 (* Density probe, run sequentially on the immutable frontier snapshot
    before the sweep fans out (so the choice — and with it every counter
    — is independent of the domain count).  The dense kernel costs
@@ -237,80 +253,74 @@ let choose_sweep ctx frontier rows =
     if not ctx.dense_ok then Some Sparse
     else begin
       let wpr = words_per_row ctx.n in
-      let dense_words = ref 0 and gathered = ref 0 in
-      Array.iteri
-        (fun q trans ->
-          if trans <> [] then
-            for i = 0 to rows - 1 do
-              if not (Bitmatrix.is_row_empty frontier.(q) i) then
-                Bitmatrix.iter_row frontier.(q) i (fun u ->
-                    List.iter
-                      (fun (ai, _) ->
-                        dense_words := !dense_words + wpr;
-                        gathered :=
-                          !gathered + Csr.degree ctx.csr.Csr.fwd.(ai) u)
-                      trans)
-            done)
-        ctx.delta;
+      let dense_words = ref 0 and gathered = ref 0 and trans = ref [] in
+      let rec probe u = function
+        | [] -> ()
+        | (ai, _) :: rest ->
+          dense_words := !dense_words + wpr;
+          gathered := !gathered + Csr.degree ctx.csr.Csr.fwd.(ai) u;
+          probe u rest
+      in
+      let visit u = probe u !trans in
+      for_frontier_rows ctx frontier 0 (rows - 1) trans visit;
       if !gathered = 0 then None
       else if sparse_op_cost * !gathered < !dense_words then Some Sparse
       else Some Dense
     end
 
+(* The sweep kernels below apply one closure, built once per call, to
+   every frontier bit; what varies per row lives in refs, so a sweep
+   allocates nothing per row or per bit. *)
 let sweep_rows_dense ctx adj frontier nxt lo hi =
-  for i = lo to hi do
-    Array.iteri
-      (fun q trans ->
-        if trans <> [] && not (Bitmatrix.is_row_empty frontier.(q) i) then
-          List.iter
-            (fun (ai, q') ->
-              Bitmatrix.iter_row frontier.(q) i (fun u ->
-                  ignore (Bitmatrix.or_row_into ~src:adj.(ai) u ~dst:nxt.(q') i)))
-            trans)
-      ctx.delta
-  done
+  let trans = ref [] and row = ref 0 in
+  let rec gather u = function
+    | [] -> ()
+    | (ai, q') :: rest ->
+      ignore (Bitmatrix.or_row_into ~src:adj.(ai) u ~dst:nxt.(q') !row);
+      gather u rest
+  in
+  for_frontier_rows ctx frontier lo hi trans ~row (fun u -> gather u !trans)
 
 let sweep_rows_sparse ctx frontier nxt lo hi =
-  let scattered = ref 0 in
-  for i = lo to hi do
-    Array.iteri
-      (fun q trans ->
-        if trans <> [] && not (Bitmatrix.is_row_empty frontier.(q) i) then
-          Bitmatrix.iter_row frontier.(q) i (fun u ->
-              List.iter
-                (fun (ai, q') ->
-                  let c = ctx.csr.Csr.fwd.(ai) in
-                  let len = Csr.degree c u in
-                  if len > 0 then begin
-                    Bitmatrix.scatter_row ~dst:nxt.(q') i (Csr.cols c)
-                      ~ofs:(Csr.start c u) ~len;
-                    scattered := !scattered + len
-                  end)
-                trans))
-      ctx.delta
-  done;
+  let scattered = ref 0 and trans = ref [] and row = ref 0 in
+  let rec push u = function
+    | [] -> ()
+    | (ai, q') :: rest ->
+      let c = ctx.csr.Csr.fwd.(ai) in
+      let len = Csr.degree c u in
+      if len > 0 then begin
+        Bitmatrix.scatter_row ~dst:nxt.(q') !row (Csr.cols c) ~ofs:(Csr.start c u) ~len;
+        scattered := !scattered + len
+      end;
+      push u rest
+  in
+  for_frontier_rows ctx frontier lo hi trans ~row (fun u -> push u !trans);
   Obs.Metrics.add m_bits_scattered !scattered
 
-(* One tile: the synchronous sweep of PR 9 — next frontier computed from
-   an immutable snapshot of the current one, row blocks of a sweep
-   fanned over [Parmap] (disjoint writes per block) — with the kernel
-   chosen per sweep by [choose_sweep].  Returns one s×n visited matrix
-   per NFA state. *)
+(* One tile: the synchronous sweep — next frontier computed from an
+   immutable snapshot of the current one, row blocks of a sweep fanned
+   over [Parmap] (disjoint writes per block) — with the kernel chosen
+   per sweep by [choose_sweep].  Three generations of one s×n matrix per
+   NFA state live for the whole tile, so a sweep allocates no matrix:
+   the frontier a sweep retires becomes the next sweep's [nxt].  It is
+   not cleared first, since every frontier bit is already visited, and
+   the sweep's diff against [visited] drops it with the revisits.
+   Returns the visited matrices. *)
 let solve_tile ctx nfa srcs =
   let n = ctx.n and m = ctx.m in
   let s = Array.length srcs in
   let fresh () = Array.init m (fun _ -> Bitmatrix.create ~rows:s ~cols:n) in
   let visited = fresh () in
-  let frontier = fresh () in
+  let frontier = ref (fresh ()) and spare = ref (fresh ()) in
   List.iter
     (fun q0 ->
       Array.iteri
         (fun i u ->
           Bitmatrix.set visited.(q0) i u;
-          Bitmatrix.set frontier.(q0) i u)
+          Bitmatrix.set !frontier.(q0) i u)
         srcs)
     nfa.Nfa.initials;
-  Array.iter (fun f -> Obs.Metrics.add m_frontier_bits (Bitmatrix.popcount f)) frontier;
+  Array.iter (fun f -> Obs.Metrics.add m_frontier_bits (Bitmatrix.popcount f)) !frontier;
   let blocks =
     (* Row blocks sized for the default fan-out; Parmap stays sequential
        when jobs = 1 or when called from inside another worker. *)
@@ -321,24 +331,22 @@ let solve_tile ctx nfa srcs =
     in
     cut 0 []
   in
-  let running = ref (s > 0 && Array.exists (fun f -> Bitmatrix.popcount f > 0) frontier) in
+  let running = ref (s > 0 && Array.exists (fun f -> Bitmatrix.popcount f > 0) !frontier) in
   while !running do
     Guard.checkpoint "bulk.sweep";
-    match choose_sweep ctx frontier s with
+    let cur = !frontier and nxt = !spare in
+    match choose_sweep ctx cur s with
     | None -> running := false
     | Some kernel ->
       Obs.Metrics.incr m_sweeps;
-      let nxt = fresh () in
       (match kernel with
       | Dense ->
         Obs.Metrics.incr m_sweep_dense;
         let adj = Lazy.force ctx.dense in
-        ignore
-          (Parmap.map (fun (lo, hi) -> sweep_rows_dense ctx adj frontier nxt lo hi) blocks)
+        ignore (Parmap.map (fun (lo, hi) -> sweep_rows_dense ctx adj cur nxt lo hi) blocks)
       | Sparse | Adaptive ->
         Obs.Metrics.incr m_sweep_sparse;
-        ignore
-          (Parmap.map (fun (lo, hi) -> sweep_rows_sparse ctx frontier nxt lo hi) blocks));
+        ignore (Parmap.map (fun (lo, hi) -> sweep_rows_sparse ctx cur nxt lo hi) blocks));
       running := false;
       for q = 0 to m - 1 do
         for i = 0 to s - 1 do
@@ -349,9 +357,10 @@ let solve_tile ctx nfa srcs =
           running := true;
           Obs.Metrics.add m_frontier_bits bits;
           ignore (Bitmatrix.union_into ~src:nxt.(q) ~dst:visited.(q))
-        end;
-        frontier.(q) <- nxt.(q)
-      done
+        end
+      done;
+      frontier := nxt;
+      spare := cur
   done;
   visited
 
@@ -382,9 +391,11 @@ let reach_pairs g nfa srcs =
   done;
   out
 
+let all_sources g nfa = reach_pairs g nfa (Array.init (Graph.nnodes g) Fun.id)
+
 let reach_relation g nfa =
   let n = Graph.nnodes g in
-  let seen = reach_pairs g nfa (Array.init n (fun u -> u)) in
+  let seen = all_sources g nfa in
   let rel = Array.make_matrix (max n 1) (max n 1) false in
   for u = 0 to n - 1 do
     Bitmatrix.iter_row seen u (fun v -> rel.(u).(v) <- true)
@@ -394,7 +405,7 @@ let reach_relation g nfa =
 let st_relation g nfa =
   if use_bulk g nfa then begin
     note_dispatch "multi_source";
-    reach_relation g nfa
+    all_sources g nfa
   end
   else begin
     note_dispatch "pointwise";

@@ -11,8 +11,10 @@
 
     - {b Tiling}: sources are processed in blocks of ≤ B rows, so peak
       memory is O(B·n) — three generations (visited/frontier/next) of
-      one B×n matrix per NFA state — and 10⁶–10⁷-edge graphs evaluate
-      without the full s×n allocation.  B defaults to the largest block
+      one B×n matrix per NFA state, allocated once per tile (the
+      frontier a sweep retires is the buffer of the next one) —
+      and 10⁶–10⁷-edge graphs evaluate without the full s×n
+      allocation.  B defaults to the largest block
       whose tile fits ~64 MiB; tests and benches may pin it with
       {!set_block_rows}.
     - {b Hybrid sweeps}: each sweep runs either the dense row kernel
@@ -123,13 +125,16 @@ val adjacency : Graph.t -> Bitmatrix.t array
     O({!block_rows}·nnodes) however long [srcs] is. *)
 val reach_pairs : Graph.t -> Nfa.t -> Graph.node array -> Bitmatrix.t
 
-(** Drop-in replacement for [Path_search.reach_relation] (same
-    dimensions, same bits, including the empty-path diagonal):
-    {!reach_pairs} from every node. *)
-val reach_relation : Graph.t -> Nfa.t -> bool array array
-
-(** The Eval/Containment seam: bulk [reach_relation] when {!use_bulk}
-    says so, [Path_search.reach_relation] otherwise.  Each call bumps
-    the [bulk.dispatch.*] counter for the ambient caller and the engine
+(** The Eval/Rpq seam: the [nnodes × nnodes] St relation of [nfa] over
+    [g] as bit rows — {!reach_pairs} from every node when {!use_bulk}
+    says so, [Path_search.reach_relation] otherwise (the same bits,
+    including the empty-path diagonal).  Each call bumps the
+    [bulk.dispatch.*] counter for the ambient caller and the engine
     actually used. *)
-val st_relation : Graph.t -> Nfa.t -> bool array array
+val st_relation : Graph.t -> Nfa.t -> Bitmatrix.t
+
+(** The boolean view of {!reach_pairs} from every node, a
+    [max n 1 × max n 1] matrix, kept for the benchmark pins and the
+    tests that compare against boolean oracles.  No evaluation path
+    uses it. *)
+val reach_relation : Graph.t -> Nfa.t -> bool array array

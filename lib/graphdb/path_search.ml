@@ -181,9 +181,9 @@ let reachable g nfa src =
 let reach_relation g nfa =
   let n = Graph.nnodes g in
   let s = simple_searcher g nfa in
-  let rel = Array.make_matrix (max n 1) (max n 1) false in
+  let rel = Bitmatrix.create ~rows:n ~cols:n in
   for u = 0 to n - 1 do
-    reachable_with s ~src:u (fun v -> rel.(u).(v) <- true)
+    reachable_with s ~src:u (fun v -> Bitmatrix.set rel u v)
   done;
   rel
 

@@ -49,9 +49,10 @@ val reachable : Graph.t -> Nfa.t -> node -> node list
     O(n·m) words in all. *)
 val reachable_with : simple_searcher -> src:node -> (node -> unit) -> unit
 
-(** [reach_relation g nfa].(u).(v) iff some path from [u] to [v] has an
-    accepted label ({!reachable_with} from every source). *)
-val reach_relation : Graph.t -> Nfa.t -> bool array array
+(** [reach_relation g nfa] is the [nnodes × nnodes] bit matrix with bit
+    [(u, v)] set iff some path from [u] to [v] has an accepted label
+    ({!reachable_with} from every source, one searcher for all). *)
+val reach_relation : Graph.t -> Nfa.t -> Bitmatrix.t
 
 (** A BFS that stops at the first accepted product state at [dst]. *)
 val exists_path : Graph.t -> Nfa.t -> src:node -> dst:node -> bool

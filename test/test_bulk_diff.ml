@@ -64,7 +64,7 @@ let gen_case =
 
 let check_relation (g, r) =
   let nfa = Nfa.of_regex r in
-  let want = Path_search.reach_relation g nfa in
+  let want = Testutil.bools_of_rows (Path_search.reach_relation g nfa) in
   let oracle = Path_oracle.reach_relation g nfa in
   if oracle <> want then
     QCheck2.Test.fail_reportf
@@ -85,6 +85,74 @@ let check_relation (g, r) =
 let test_multi_source =
   Testutil.qtest ~count:200 "bulk multi-source BFS = Path_search relation"
     gen_case check_relation
+
+(* ---------------- St bit rows against the oracle ------------------- *)
+
+(* [st_relation]'s bit rows must equal the boolean [Path_oracle] relation
+   under both engines, every forced sweep kernel and tile heights 1, 64
+   and the default.  The bulk kernel clears each frontier it retires and
+   fills it as the next one; the fixed cases make that happen many times
+   over (a 6-node path under a* takes five sweeps from node 0) and cover
+   the empty and the one-node graph. *)
+let st_configs =
+  List.concat_map
+    (fun mode ->
+      List.concat_map
+        (fun sw -> List.map (fun b -> (mode, sw, b)) [ Some 1; Some 64; None ])
+        [ Bulk_rpq.Sparse; Bulk_rpq.Dense; Bulk_rpq.Adaptive ])
+    [ Bulk_rpq.Off; Bulk_rpq.On ]
+
+let st_rows_match g nfa =
+  let n = Graph.nnodes g in
+  let want = Path_oracle.reach_relation g nfa in
+  List.for_all
+    (fun (mode, sw, b) ->
+      let rows =
+        with_mode mode (fun () ->
+            with_sweep sw (fun () -> with_block b (fun () -> Bulk_rpq.st_relation g nfa)))
+      in
+      let got = Testutil.bools_of_rows rows in
+      if Bitmatrix.rows rows = n && Bitmatrix.cols rows = n && got = want then true
+      else
+        QCheck2.Test.fail_reportf
+          "st_relation mode=%s sweep=%s block=%s: %dx%d rows on %s@.want %s@.got  %s"
+          (Bulk_rpq.mode_to_string mode) (Bulk_rpq.sweep_to_string sw)
+          (match b with None -> "default" | Some k -> string_of_int k)
+          (Bitmatrix.rows rows) (Bitmatrix.cols rows) (Testutil.print_graph g)
+          (pp_rel want) (pp_rel got))
+    st_configs
+
+let test_st_rows =
+  Testutil.qtest ~count:100 "st_relation rows = Path_oracle (modes x sweeps x tiles)"
+    gen_case (fun (g, r) -> st_rows_match g (Nfa.of_regex r))
+
+let m_sweeps = Obs.Metrics.counter "bulk.sweeps"
+
+let with_metrics f =
+  Obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled false) f
+
+let test_st_rows_fixed () =
+  let path6 = Graph.make ~nnodes:6 (List.init 5 (fun u -> (u, "a", u + 1))) in
+  let star = Nfa.of_regex (Regex.parse "a*") in
+  let sweeps =
+    with_metrics (fun () ->
+        let s0 = Obs.Metrics.counter_value m_sweeps in
+        ignore (Bulk_rpq.reach_pairs path6 star [| 0 |]);
+        Obs.Metrics.counter_value m_sweeps - s0)
+  in
+  Alcotest.(check bool) "a* on the 6-node path takes >= 3 sweeps" true (sweeps >= 3);
+  List.iter
+    (fun (name, g, re) ->
+      Alcotest.(check bool) name true (st_rows_match g (Nfa.of_regex (Regex.parse re))))
+    [
+      ("6-node path, a*", path6, "a*");
+      ("6-node path, aa(a)*", path6, "aa(a)*");
+      ("0 nodes, a*", Graph.make ~nnodes:0 [], "a*");
+      ("1 node, a*", Graph.make ~nnodes:1 [], "a*");
+      ("1 node, a+", Graph.make ~nnodes:1 [], "a+");
+      ("1-node loop, a+", Graph.make ~nnodes:1 [ (0, "a", 0) ], "a+");
+    ]
 
 (* ---------------- full-query Eval under all five semantics --------- *)
 
@@ -193,7 +261,7 @@ let test_sweep_tiling_matrix =
     "forced sweep kernels x tile heights all match Path_search" gen_case
     (fun (g, r) ->
       let nfa = Nfa.of_regex r in
-      let want = Path_search.reach_relation g nfa in
+      let want = Testutil.bools_of_rows (Path_search.reach_relation g nfa) in
       List.for_all
         (fun (sw, b) ->
           let got =
@@ -217,10 +285,6 @@ let m_tiles = Obs.Metrics.counter "bulk.tiles"
 let m_sweep_sparse = Obs.Metrics.counter "bulk.sweep_sparse"
 
 let m_sweep_dense = Obs.Metrics.counter "bulk.sweep_dense"
-
-let with_metrics f =
-  Obs.Metrics.set_enabled true;
-  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled false) f
 
 let test_tile_accounting () =
   let rng = Random.State.make [| 0xB03; 11 |] in
@@ -290,7 +354,7 @@ let test_sparse_chaos =
       with_sweep Bulk_rpq.Sparse (fun () ->
           with_block (Some 2) (fun () ->
               let nfa = Nfa.of_regex r in
-              let want = Path_search.reach_relation g nfa in
+              let want = Testutil.bools_of_rows (Path_search.reach_relation g nfa) in
               Guard.Chaos.arm [ ("bulk.sweep", visit) ];
               let outcome =
                 Guard.run (fun () -> Bulk_rpq.reach_relation g nfa)
@@ -352,7 +416,7 @@ let test_mid_graph_crossagreement () =
   let rng = Random.State.make [| 0xB02; 7 |] in
   let g = Generate.gnp ~rng ~nodes:40 ~labels:[ "a"; "b" ] ~p:0.04 in
   let nfa = Nfa.of_regex (Regex.parse "a(a|b)*b?") in
-  let want = Path_search.reach_relation g nfa in
+  let want = Testutil.bools_of_rows (Path_search.reach_relation g nfa) in
   Alcotest.(check bool) "multi-source agrees" true
     (Bulk_rpq.reach_relation g nfa = want)
 
@@ -360,6 +424,8 @@ let () =
   Alcotest.run "bulk_diff"
     [
       ("relations", [ test_multi_source ]);
+      ( "st_rows",
+        [ test_st_rows; Alcotest.test_case "fixed shapes" `Quick test_st_rows_fixed ] );
       ("eval", [ test_eval_all_semantics ]);
       ("contain", [ test_st_containment ]);
       ("kernels", [ test_sweep_tiling_matrix; test_sparse_chaos ]);

@@ -107,7 +107,7 @@ let prop_relations_agree =
         (fun u ->
           List.for_all
             (fun v ->
-              reach.(u).(v) = Path_search.exists_path g nfa ~src:u ~dst:v
+              Bitmatrix.get reach u v = Path_search.exists_path g nfa ~src:u ~dst:v
               && simple.(u).(v) = Path_search.exists_simple g nfa ~src:u ~dst:v)
             (Graph.nodes g))
         (Graph.nodes g))

@@ -110,6 +110,16 @@ let gen_cq ?(max_atoms = 4) ?(max_vars = 4) ?(arity = 0) () =
   | Some cq -> return cq
   | None -> assert false
 
+(* A bit-row relation in the boolean shape of [Path_oracle.reach_relation]
+   and [Bulk_rpq.reach_relation]: a (max n 1)² matrix. *)
+let bools_of_rows rel =
+  let n = Bitmatrix.rows rel in
+  let b = Array.make_matrix (max n 1) (max n 1) false in
+  for u = 0 to n - 1 do
+    Bitmatrix.iter_row rel u (fun v -> b.(u).(v) <- true)
+  done;
+  b
+
 (* ---------------- pretty-printers for qcheck messages ------------- *)
 
 let print_regex = Regex.to_string
